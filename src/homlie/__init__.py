@@ -1,6 +1,6 @@
 """Exact rational computer algebra for Hom-Lie algebras with invariant forms."""
 
-from .exactlin import Matrix, Scalar, Subspace, frac
+from .exactlin import Matrix, Subspace, frac
 from .homalg import (
     AlphaClass,
     AssocAlgebra,

@@ -31,6 +31,7 @@ from .exactlin import (
     kernel,
     kernel_image_power,
     rational_eigenpairs,
+    spin_up,
     sub_vec,
     unit_vec,
 )
@@ -38,6 +39,8 @@ from .homalg import (
     BilinearForm,
     HomAlgebra,
     QuadraticHomAlgebra,
+    bracket_table,
+    center,
     is_multiplicative,
     multiplicativity_witness,
 )
@@ -51,14 +54,6 @@ SIMPLICITY_STREAM_SEED = 0x484F4D21
 # ---------------------------------------------------------------------------
 # subspace-level structure
 # ---------------------------------------------------------------------------
-
-def center(g: HomAlgebra) -> Subspace:
-    """Center {x : [x, y] = 0 for all y}: kernel of the stacked adjoints."""
-    stacked = Matrix.zeros(0, g.dim)
-    for m in g.ad_matrices():
-        stacked = stacked.vstack(m)
-    return kernel(stacked)
-
 
 def centroid(g: HomAlgebra) -> Subspace:
     """Maps theta with theta[x,y] = [theta(x), y], as a subspace of End(g).
@@ -87,18 +82,7 @@ def ideal_closure(g: HomAlgebra, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed closed under all [x_i, .] and alpha."""
     if seed.ambient_dim != g.dim:
         raise NotSubalgebra("seed lives in a different space")
-    ads = g.ad_matrices()
-    current = seed
-    while True:
-        new_vectors = list(current.vectors())
-        for v in current.vectors():
-            new_vectors.append(g.alpha.apply(v))
-            for m in ads:
-                new_vectors.append(m.apply(v))
-        grown = Subspace.from_vectors(g.dim, new_vectors)
-        if grown == current:
-            return current
-        current = grown
+    return spin_up([g.alpha] + g.ad_matrices(), seed)
 
 
 def is_ideal(g: HomAlgebra, w: Subspace) -> bool:
@@ -253,14 +237,7 @@ def _decompose(q, embedding, original):
 
 def _compose_embedding(embedding: Subspace, inner: Subspace) -> Subspace:
     # inner coords are relative to embedding's basis rows
-    lifted = [
-        tuple(
-            sum((coords[r] * embedding.basis[r, c] for r in range(embedding.dim)), _ZERO)
-            for c in range(embedding.ambient_dim)
-        )
-        for coords in inner.vectors()
-    ]
-    return Subspace.from_vectors(embedding.ambient_dim, lifted)
+    return Subspace(embedding.ambient_dim, inner.basis @ embedding.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +276,7 @@ def trace_form(g: HomAlgebra) -> BilinearForm:
 
 def associated_lie_algebra(g: HomAlgebra) -> HomAlgebra:
     """Bracket [theta(x), theta(y)] with identity twist, for involutive g."""
-    theta = g.alpha
-    bracket = [
-        [g.bracket_vec(theta.col(i), theta.col(j)) for j in range(g.dim)]
-        for i in range(g.dim)
-    ]
+    bracket = bracket_table(g, g.alpha, g.alpha)
     return HomAlgebra(g.dim, bracket, Matrix.identity(g.dim))
 
 
@@ -356,19 +329,6 @@ class SimplicityVerdict:
     @property
     def is_simple(self) -> bool:
         return self.tag == "Simple"
-
-
-def _transpose_closure(mats: list[Matrix], seed: Subspace) -> Subspace:
-    current = seed
-    while True:
-        new_vectors = list(current.vectors())
-        for v in current.vectors():
-            for m in mats:
-                new_vectors.append(m.apply(v))
-        grown = Subspace.from_vectors(seed.ambient_dim, new_vectors)
-        if grown == current:
-            return current
-        current = grown
 
 
 def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
@@ -433,7 +393,7 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
             cokernel = kernel(shifted.transpose())
             if cokernel.dim != 1:
                 continue
-            tspin = _transpose_closure(tgens, cokernel)
+            tspin = spin_up(tgens, cokernel)
             if tspin.dim < n:
                 annihilator = kernel(tspin.basis)
                 if 0 < annihilator.dim < n and is_ideal(g, annihilator):
@@ -531,14 +491,7 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     e = None
     lam = None
     for ev, eig in pairs:
-        ambient = [
-            tuple(
-                sum((coords[r] * z.basis[r, c] for r in range(z.dim)), _ZERO)
-                for c in range(q.dim)
-            )
-            for coords in eig.vectors()
-        ]
-        found = _isotropic_in_eigenspace(q, ambient)
+        found = _isotropic_in_eigenspace(q, (eig.basis @ z.basis).data)
         if found is not None:
             e, lam = found, ev
             break

@@ -31,9 +31,9 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
-    Subspace,
     frac,
     kernel,
+    unit_vec,
     vec,
     zero_vec,
 )
@@ -43,6 +43,8 @@ from .homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
+    bracket_table,
+    center,
     check_coadjoint_condition,
     check_hom_lie,
     check_hom_associative,
@@ -52,7 +54,6 @@ from .homalg import (
     multiplicativity_witness,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -60,20 +61,61 @@ _ONE = Fraction(1)
 # plumbing: direct sums and base changes
 # ---------------------------------------------------------------------------
 
+def _zero_table(dim: int) -> list:
+    return [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+
+
+def _put_bracket(table: list, off: int, g: HomAlgebra):
+    """Copy the bracket of g onto the basis vectors off .. off + g.dim - 1."""
+    end = off + g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            table[off + i][off + j][off:end] = g.bracket[i][j]
+
+
+def _put_action(table: list, x_off: int, v_off: int, mats):
+    """Write [x_i, v] = mats[i] v and [v, x_i] = -mats[i] v for module basis vectors v.
+
+    x_i is basis vector x_off + i and the module occupies v_off onwards.
+    """
+    for i, mat in enumerate(mats):
+        end = v_off + mat.rows
+        for u in range(mat.cols):
+            col = mat.col(u)
+            table[x_off + i][v_off + u][v_off:end] = col
+            table[v_off + u][x_off + i][v_off:end] = [-c for c in col]
+
+
+def _put_pairing(table: list, v_off: int, out_off: int, mats, gram: Matrix):
+    """Give [x_i, x_j] the component B(mats[r] x_i, x_j) on basis vector out_off + r."""
+    for r, mat in enumerate(mats):
+        pairing = mat.transpose() @ gram
+        for i in range(pairing.rows):
+            for j in range(pairing.cols):
+                table[v_off + i][v_off + j][out_off + r] = pairing[i, j]
+
+
+def _extension_gram(gamma: Matrix, base: Matrix) -> Matrix:
+    """Gram matrix on A + V + A*: gamma on A, base on V, A paired with A* by duality."""
+    m, n = gamma.rows, base.rows
+    rows = [list(r) for r in Matrix.block_diagonal([gamma, base, Matrix.zeros(m, m)]).data]
+    for r in range(m):
+        rows[r][m + n + r] = _ONE
+        rows[m + n + r][r] = _ONE
+    return Matrix(rows)
+
+
+def _coadjoint(g: HomAlgebra) -> tuple[Matrix, ...]:
+    """Action matrices -ad(x_i)^T of the coadjoint action on the dual."""
+    return tuple(-m.transpose() for m in g.ad_matrices())
+
+
 def direct_sum(g: HomAlgebra, h: HomAlgebra) -> HomAlgebra:
     """Direct sum of Hom-algebras with blockwise bracket and twist."""
-    n, m = g.dim, h.dim
-    dim = n + m
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = g.bracket[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                bracket[n + i][n + j][n + k] = h.bracket[i][j][k]
-    return HomAlgebra(dim, bracket, Matrix.block_diagonal([g.alpha, h.alpha]))
+    bracket = _zero_table(g.dim + h.dim)
+    _put_bracket(bracket, 0, g)
+    _put_bracket(bracket, g.dim, h)
+    return HomAlgebra(g.dim + h.dim, bracket, Matrix.block_diagonal([g.alpha, h.alpha]))
 
 
 def orthogonal_sum(q1: QuadraticHomAlgebra, q2: QuadraticHomAlgebra) -> QuadraticHomAlgebra:
@@ -87,12 +129,8 @@ def change_basis(g: HomAlgebra, p: Matrix) -> HomAlgebra:
     pinv = p.inverse()
     if pinv is None:
         raise NotAutomorphism("change of basis must be invertible")
-    n = g.dim
-    bracket = [
-        [pinv.apply(g.bracket_vec(p.col(i), p.col(j))) for j in range(n)]
-        for i in range(n)
-    ]
-    return HomAlgebra(n, bracket, pinv @ g.alpha @ p)
+    bracket = [[pinv.apply(v) for v in row] for row in bracket_table(g, p, p)]
+    return HomAlgebra(g.dim, bracket, pinv @ g.alpha @ p)
 
 
 def change_basis_quadratic(q: QuadraticHomAlgebra, p: Matrix) -> QuadraticHomAlgebra:
@@ -115,13 +153,6 @@ def _bracket_endo_witness(g: HomAlgebra, endo: Matrix):
             if endo.apply(g.bracket[i][j]) != g.bracket_vec(endo.col(i), endo.col(j)):
                 return (i, j)
     return None
-
-
-def _center_subspace(g: HomAlgebra) -> Subspace:
-    stacked = Matrix.zeros(0, g.dim)
-    for m in g.ad_matrices():
-        stacked = stacked.vstack(m)
-    return kernel(stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +223,8 @@ def centroid_twists(g: HomAlgebra, theta: Matrix) -> tuple[HomAlgebra, HomAlgebr
     if w is not None:
         raise NotInCentroid("theta[x,y] != [theta(x),y]", witness=w)
     n = g.dim
-    b1 = [[g.bracket_vec(theta.col(i), [_ONE if m == j else _ZERO for m in range(n)]) for j in range(n)] for i in range(n)]
-    b2 = [[g.bracket_vec(theta.col(i), theta.col(j)) for j in range(n)] for i in range(n)]
+    b1 = bracket_table(g, theta, Matrix.identity(n))
+    b2 = bracket_table(g, theta, theta)
     return HomAlgebra(n, b1, theta), HomAlgebra(n, b2, theta)
 
 
@@ -227,11 +258,7 @@ def untwist_involutive(
         raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
     n = h.dim
     theta = h.alpha
-    bracket = [
-        [h.bracket_vec(theta.col(i), theta.col(j)) for j in range(n)]
-        for i in range(n)
-    ]
-    lie = HomAlgebra(n, bracket, Matrix.identity(n))
+    lie = HomAlgebra(n, bracket_table(h, theta, theta), Matrix.identity(n))
     t = None
     if b is not None:
         qrep = check_quadratic(h, b)
@@ -255,13 +282,8 @@ def centroid_untwist(
     if w is not None:
         raise AlphaNotInCentroid("twist is not in the centroid", witness=w)
     n = h.dim
-    b1 = [
-        [h.bracket_vec(theta.col(i), [_ONE if m == j else _ZERO for m in range(n)]) for j in range(n)]
-        for i in range(n)
-    ]
-    b2 = [[h.bracket_vec(theta.col(i), theta.col(j)) for j in range(n)] for i in range(n)]
-    l1 = HomAlgebra(n, b1, Matrix.identity(n))
-    l2 = HomAlgebra(n, b2, Matrix.identity(n))
+    l1 = HomAlgebra(n, bracket_table(h, theta, Matrix.identity(n)), Matrix.identity(n))
+    l2 = HomAlgebra(n, bracket_table(h, theta, theta), Matrix.identity(n))
     form = None
     if b is not None:
         if theta.inverse() is None:
@@ -288,8 +310,7 @@ def coadjoint_rep(g: HomAlgebra) -> tuple[Representation, bool]:
     Returns the representation data together with its validity, which holds
     exactly when the coadjoint identity does.
     """
-    rho = tuple((-m.transpose()) for m in g.ad_matrices())
-    rep = Representation(g.dim, g.dim, rho, g.alpha.transpose())
+    rep = Representation(g.dim, g.dim, _coadjoint(g), g.alpha.transpose())
     return rep, check_coadjoint_condition(g)
 
 
@@ -297,19 +318,10 @@ def semidirect_sum(g: HomAlgebra, r: Representation) -> HomAlgebra:
     """Hom-Lie algebra on g + V with bracket [x+u,y+w] = [x,y] + x.w - y.u."""
     if not check_representation(g, r):
         raise NotRepresentation("module axiom fails")
-    n, m = g.dim, r.module_dim
-    dim = n + m
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = g.bracket[i][j][k]
-    for i in range(n):
-        for u in range(m):
-            col = r.rho[i].col(u)
-            for k in range(m):
-                bracket[i][n + u][n + k] = col[k]
-                bracket[n + u][i][n + k] = -col[k]
+    dim = g.dim + r.module_dim
+    bracket = _zero_table(dim)
+    _put_bracket(bracket, 0, g)
+    _put_action(bracket, 0, g.dim, r.rho)
     return HomAlgebra(dim, bracket, Matrix.block_diagonal([g.alpha, r.beta]))
 
 
@@ -329,12 +341,8 @@ def quadratic_yau_twist(q: QuadraticHomAlgebra, endo: Matrix) -> QuadraticHomAlg
         raise NotAutomorphism("twist must be a bracket automorphism", witness=w)
     if endo.transpose() @ q.gram != q.gram @ endo:
         raise NotSymmetric("automorphism is not symmetric for the form")
-    n = g.dim
-    bracket = [
-        [g.bracket_vec(endo.col(i), endo.col(j)) for j in range(n)] for i in range(n)
-    ]
-    alg = HomAlgebra(n, bracket, endo)
-    return QuadraticHomAlgebra(alg, BilinearForm(n, endo.transpose() @ q.gram))
+    alg = HomAlgebra(g.dim, bracket_table(g, endo, endo), endo)
+    return QuadraticHomAlgebra(alg, BilinearForm(g.dim, endo.transpose() @ q.gram))
 
 
 def quadratic_derived(q: QuadraticHomAlgebra, n: int) -> QuadraticHomAlgebra:
@@ -359,25 +367,12 @@ def tstar_extension(g: HomAlgebra) -> QuadraticHomAlgebra:
     _require_lie(g, "tstar_extension")
     n = g.dim
     dim = 2 * n
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = g.bracket[i][j][k]
-    # [x_i, f_j] = -f_j o ad(x_i): k-th dual coefficient -c[i][k][j]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = -g.bracket[i][k][j]
-                bracket[i][n + j][n + k] = c
-                bracket[n + j][i][n + k] = -c
-    gram = Matrix.block_diagonal([Matrix.zeros(n, n), Matrix.zeros(n, n)])
-    rows = [list(r) for r in gram.data]
-    for i in range(n):
-        rows[i][n + i] = _ONE
-        rows[n + i][i] = _ONE
+    bracket = _zero_table(dim)
+    _put_bracket(bracket, 0, g)
+    _put_action(bracket, 0, n, _coadjoint(g))
+    gram = _extension_gram(Matrix.zeros(n, n), Matrix.zeros(0, 0))
     alg = HomAlgebra(dim, bracket, Matrix.identity(dim))
-    return QuadraticHomAlgebra(alg, BilinearForm(dim, Matrix(rows)))
+    return QuadraticHomAlgebra(alg, BilinearForm(dim, gram))
 
 
 def omega_map(g: HomAlgebra, a: Matrix) -> tuple[QuadraticHomAlgebra, Matrix]:
@@ -401,11 +396,11 @@ def omega_extension(g: HomAlgebra, a: Matrix | None = None) -> QuadraticHomAlgeb
     w = _bracket_endo_witness(g, a)
     if w is not None or a.inverse() is None:
         raise NotAutomorphism("a must be a bracket automorphism", witness=w)
-    center = _center_subspace(g)
+    z = center(g)
     defect = a @ a - Matrix.identity(g.dim)
     for j in range(g.dim):
         col = defect.col(j)
-        if not center.contains_vector(col):
+        if not z.contains_vector(col):
             raise CenterConditionFailed(
                 "Im(a^2 - id) is not contained in the center", witness=col
             )
@@ -436,11 +431,9 @@ def tensor_current(
                 raise NotAutomorphism("theta does not preserve the product", witness=(i, j))
     # annihilator: x with x . a_j = 0 for all j
     m = a.dim
-    stacked = Matrix.zeros(0, m)
-    for j in range(m):
-        rows = [[a.product[i][j][k] for i in range(m)] for k in range(m)]
-        stacked = stacked.vstack(Matrix(rows))
-    ann = kernel(stacked)
+    ann = kernel(
+        Matrix([[a.product[i][j][k] for i in range(m)] for j in range(m) for k in range(m)])
+    )
     defect = theta @ theta - Matrix.identity(m)
     for j in range(m):
         col = defect.col(j)
@@ -450,7 +443,7 @@ def tensor_current(
             )
     n = g.dim
     dim = n * m
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+    bracket = _zero_table(dim)
     for i in range(n):
         for j in range(n):
             cg = g.bracket[i][j]
@@ -466,11 +459,11 @@ def tensor_current(
                                 row[k * m + t] += cg[k] * pa[t]
     lie = HomAlgebra(dim, bracket, Matrix.identity(dim))
     theta_tilde = Matrix.kronecker(Matrix.identity(n), theta)
-    center = _center_subspace(lie)
+    z = center(lie)
     big_defect = theta_tilde @ theta_tilde - Matrix.identity(dim)
     for j in range(dim):
         col = big_defect.col(j)
-        if not center.contains_vector(col):
+        if not z.contains_vector(col):
             raise AnnihilatorConditionFailed(
                 "internal: square defect of id(x)theta escaped the center",
                 witness=col,
@@ -598,38 +591,19 @@ def double_extension_1d(
     n = g.dim
     dim = n + 2
     E, B0 = n + 1, 0  # e index, b index
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[1 + i][1 + j][1 + k] = g.bracket[i][j][k]
-            bracket[1 + i][1 + j][E] = v.form.value(d.delta.col(i), [
-                _ONE if m == j else _ZERO for m in range(n)
-            ])
-    for i in range(n):
-        col = d.delta.col(i)
-        for k in range(n):
-            bracket[B0][1 + i][1 + k] = col[k]
-            bracket[1 + i][B0][1 + k] = -col[k]
-    alpha_rows = [[_ZERO] * dim for _ in range(dim)]
-    alpha_rows[B0][B0] = d.lam
+    bracket = _zero_table(dim)
+    _put_bracket(bracket, 1, g)
+    _put_pairing(bracket, 1, E, [d.delta], v.gram)
+    _put_action(bracket, B0, 1, [d.delta])
+    lam = Matrix([[d.lam]])
+    alpha_rows = [list(r) for r in Matrix.block_diagonal([lam, g.alpha, lam]).data]
     for k in range(n):
         alpha_rows[1 + k][B0] = d.x0[k]
+        alpha_rows[E][1 + k] = v.form.value(d.x0, unit_vec(n, k))
     alpha_rows[E][B0] = d.lam0
-    for i in range(n):
-        col = g.alpha.col(i)
-        for k in range(n):
-            alpha_rows[1 + k][1 + i] = col[k]
-        alpha_rows[E][1 + i] = v.form.value(d.x0, [_ONE if m == i else _ZERO for m in range(n)])
-    alpha_rows[E][E] = d.lam
-    gram_rows = [[_ZERO] * dim for _ in range(dim)]
-    gram_rows[B0][E] = _ONE
-    gram_rows[E][B0] = _ONE
-    for i in range(n):
-        for j in range(n):
-            gram_rows[1 + i][1 + j] = v.gram[i, j]
     alg = HomAlgebra(dim, bracket, Matrix(alpha_rows))
-    return QuadraticHomAlgebra(alg, BilinearForm(dim, Matrix(gram_rows)))
+    gram = _extension_gram(Matrix.zeros(1, 1), v.gram)
+    return QuadraticHomAlgebra(alg, BilinearForm(dim, gram))
 
 
 @dataclass(frozen=True)
@@ -670,14 +644,14 @@ def _check_involutive_extension(v, a, d):
                 rhs = tuple(
                     x + y
                     for x, y in zip(
-                        gv.bracket_vec(pav.col(i), [_ONE if t == j else _ZERO for t in range(n)]),
-                        gv.bracket_vec([_ONE if t == i else _ZERO for t in range(n)], pav.col(j)),
+                        gv.bracket_vec(pav.col(i), unit_vec(n, j)),
+                        gv.bracket_vec(unit_vec(n, i), pav.col(j)),
                     )
                 )
                 if lhs != rhs:
                     raise ConditionFailed("TDE1", witness=(r, i, j))
     for r in range(m):
-        lhs = _phi_of(d.phi, a.alpha.col(r))
+        lhs = rep.rho_vec(a.alpha.col(r))
         rhs = av @ d.phi[r] @ av
         w = _first_matrix_mismatch(lhs, rhs)
         if w is not None:
@@ -692,21 +666,12 @@ def _check_involutive_extension(v, a, d):
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                if d.gamma.value(a.bracket[i][j], [_ONE if t == k else _ZERO for t in range(m)]) != d.gamma.value(
-                    [_ONE if t == i else _ZERO for t in range(m)], a.bracket[j][k]
+                if d.gamma.value(a.bracket[i][j], unit_vec(m, k)) != d.gamma.value(
+                    unit_vec(m, i), a.bracket[j][k]
                 ):
                     raise ConditionFailed("GammaInvalid", witness=(i, j, k))
     if _first_matrix_mismatch(gm @ a.alpha, a.alpha.transpose() @ gm) is not None:
         raise ConditionFailed("GammaInvalid", "gamma is not alpha_A-symmetric")
-
-
-def _phi_of(phi: tuple[Matrix, ...], x) -> Matrix:
-    n = phi[0].rows
-    out = Matrix.zeros(n, n)
-    for r, c in enumerate(vec(x)):
-        if c != 0:
-            out = out + phi[r].scale(c)
-    return out
 
 
 def _involutive_extension_parts(v, a, d, include_action: bool):
@@ -714,44 +679,16 @@ def _involutive_extension_parts(v, a, d, include_action: bool):
     n, m = gv.dim, a.dim
     dim = m + n + m  # A, V, A* blocks
     A0, V0, F0 = 0, m, m + n
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    for r in range(m):
-        for s in range(m):
-            for k in range(m):
-                bracket[A0 + r][A0 + s][A0 + k] = a.bracket[r][s][k]
-    for r in range(m):
-        for s in range(m):
-            for k in range(m):
-                c = -a.bracket[r][k][s]
-                bracket[A0 + r][F0 + s][F0 + k] = c
-                bracket[F0 + s][A0 + r][F0 + k] = -c
+    bracket = _zero_table(dim)
+    _put_bracket(bracket, A0, a)
+    _put_action(bracket, A0, F0, _coadjoint(a))
     if include_action:
-        for r in range(m):
-            p = d.phi[r]
-            for i in range(n):
-                col = p.col(i)
-                for k in range(n):
-                    bracket[A0 + r][V0 + i][V0 + k] = col[k]
-                    bracket[V0 + i][A0 + r][V0 + k] = -col[k]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[V0 + i][V0 + j][V0 + k] = gv.bracket[i][j][k]
-            for r in range(m):
-                bracket[V0 + i][V0 + j][F0 + r] = v.form.value(
-                    d.phi[r].col(i), [_ONE if t == j else _ZERO for t in range(n)]
-                )
+        _put_action(bracket, A0, V0, d.phi)
+    _put_bracket(bracket, V0, gv)
+    _put_pairing(bracket, V0, F0, d.phi, v.gram)
     alpha = Matrix.block_diagonal([a.alpha, gv.alpha, a.alpha.transpose()])
-    gram_rows = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(m):
-        for s in range(m):
-            gram_rows[A0 + r][A0 + s] = d.gamma.gram[r, s]
-        gram_rows[A0 + r][F0 + r] = _ONE
-        gram_rows[F0 + r][A0 + r] = _ONE
-    for i in range(n):
-        for j in range(n):
-            gram_rows[V0 + i][V0 + j] = v.gram[i, j]
-    return HomAlgebra(dim, bracket, alpha), BilinearForm(dim, Matrix(gram_rows))
+    gram = _extension_gram(d.gamma.gram, v.gram)
+    return HomAlgebra(dim, bracket, alpha), BilinearForm(dim, gram)
 
 
 def involutive_double_extension(

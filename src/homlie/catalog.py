@@ -8,7 +8,6 @@ names are part of the CLI contract.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .build import (
@@ -22,17 +21,22 @@ from .build import (
     yau_twist,
 )
 from .errors import BadParams, UnknownFixture
-from .exactlin import Matrix, frac, zero_vec
+from .exactlin import Matrix, frac, kernel, solve_linear, unit_vec, zero_vec
 from .homalg import AssocAlgebra, BilinearForm, HomAlgebra, QuadraticHomAlgebra
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FixtureId:
-    name: str
-    params: tuple[Fraction, ...]
+def _size(x) -> int:
+    """A size parameter as an int; BadParams unless it is an integer."""
+    try:
+        value = frac(x)
+    except (TypeError, ValueError):
+        raise BadParams(f"size parameter must be an integer, got {x!r}") from None
+    if value.denominator != 1:
+        raise BadParams(f"size parameter must be an integer, got {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ class FixtureId:
 
 def abelian(n: int) -> HomAlgebra:
     """Zero bracket with identity twist."""
-    n = int(n)
+    n = _size(n)
     if n < 1:
         raise BadParams("dimension must be >= 1")
     z = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
@@ -90,7 +94,7 @@ def _sln_coords(n: int, m: list[list[Fraction]]) -> list[Fraction]:
 
 def sl_n(n: int) -> HomAlgebra:
     """sl_n with basis E_ij (i != j, row major) then H_k = E_kk - E_(k+1)(k+1)."""
-    n = int(n)
+    n = _size(n)
     if n < 2:
         raise BadParams("sl_n needs n >= 2")
     basis = _sln_basis(n)
@@ -113,7 +117,7 @@ def sl_n(n: int) -> HomAlgebra:
 
 def sl_n_killing(n: int) -> BilinearForm:
     """Killing form of sl_n: K(x, y) = 2n tr(xy)."""
-    n = int(n)
+    n = _size(n)
     basis = _sln_basis(n)
     dim = len(basis)
     gram = [
@@ -133,7 +137,7 @@ def sl_n_killing(n: int) -> BilinearForm:
 
 def sl_n_neg_transpose(n: int) -> Matrix:
     """The involution x -> -x^T of sl_n, in the standard basis."""
-    n = int(n)
+    n = _size(n)
     basis = _sln_basis(n)
     cols = []
     for m in basis:
@@ -174,29 +178,24 @@ def jackson_sl2(q) -> HomAlgebra:
 
 def sl_n_transpose(n) -> QuadraticHomAlgebra:
     """sl_n twisted by x -> -x^T, with the twisted Killing form."""
-    n = int(n)
+    n = _size(n)
     base = QuadraticHomAlgebra(sl_n(n), sl_n_killing(n))
     return quadratic_yau_twist(base, sl_n_neg_transpose(n))
 
 
 def swap_double(n=2) -> HomAlgebra:
     """sl_n + sl_n twisted by the factor swap automorphism."""
-    n = int(n)
+    n = _size(n)
     g = sl_n(n)
     l = direct_sum(g, g)
-    d = g.dim
-    swap = Matrix.block_diagonal([Matrix.zeros(d, d), Matrix.zeros(d, d)])
-    rows = [list(r) for r in swap.data]
-    for i in range(d):
-        rows[i][d + i] = _ONE
-        rows[d + i][i] = _ONE
-    return yau_twist(l, Matrix(rows))
+    swap = Matrix([unit_vec(l.dim, (i + g.dim) % l.dim) for i in range(l.dim)])
+    return yau_twist(l, swap)
 
 
 def filiform(n, lam) -> HomAlgebra:
     """Filiform nilpotent algebra on x0..xn: [x0,xi] = x(i+1) for 1 <= i < n,
     with the automorphism x0 -> x0 + lam xn fixing the other basis vectors."""
-    n = int(n)
+    n = _size(n)
     lam = frac(lam)
     if n < 2:
         raise BadParams("filiform needs n >= 2")
@@ -206,7 +205,7 @@ def filiform(n, lam) -> HomAlgebra:
         v = [_ZERO] * dim
         v[i + 1] = _ONE
         pairs[(0, i)] = v
-    alpha_rows = [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
+    alpha_rows = [list(unit_vec(dim, i)) for i in range(dim)]
     alpha_rows[n][0] = lam
     return HomAlgebra.from_pairs(dim, pairs, Matrix(alpha_rows))
 
@@ -214,7 +213,7 @@ def filiform(n, lam) -> HomAlgebra:
 def two_nilpotent(dim_v, dim_z, *entries) -> HomAlgebra:
     """Two-step nilpotent algebra V + Z with [v(2i-1), v(2i)] landing in Z and
     the automorphism v -> v + lam(v), z -> z given by a dim_z x dim_v table."""
-    dim_v, dim_z = int(dim_v), int(dim_z)
+    dim_v, dim_z = _size(dim_v), _size(dim_z)
     if dim_v < 2 or dim_z < 1:
         raise BadParams("need dim_v >= 2 and dim_z >= 1")
     dim = dim_v + dim_z
@@ -229,7 +228,7 @@ def two_nilpotent(dim_v, dim_z, *entries) -> HomAlgebra:
         v = [_ZERO] * dim
         v[dim_v + (i % dim_z)] = _ONE
         pairs[(2 * i, 2 * i + 1)] = v
-    alpha_rows = [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
+    alpha_rows = [list(unit_vec(dim, i)) for i in range(dim)]
     for r in range(dim_z):
         for c in range(dim_v):
             alpha_rows[dim_v + r][c] = entries[r * dim_v + c]
@@ -252,7 +251,7 @@ def assoc_a(q) -> AssocAlgebra:
     put(0, 1, 2)  # ef = fe = h
     put(0, 2, 3)  # eh = he = t
     put(1, 1, 3)  # ff = t
-    alpha_rows = [[_ONE if i == j else _ZERO for j in range(4)] for i in range(4)]
+    alpha_rows = [list(unit_vec(4, i)) for i in range(4)]
     alpha_rows[3][0] = q
     return AssocAlgebra(4, prod, Matrix(alpha_rows))
 
@@ -285,10 +284,6 @@ def emit(name: str, *params):
     return builder(*params)
 
 
-def emit_id(fid: FixtureId):
-    return emit(fid.name, *fid.params)
-
-
 def basis_names(name: str, *params) -> list[str] | None:
     """Display names for a fixture's basis, when natural ones exist."""
     if name in ("ex_1_2", "jackson_sl2"):
@@ -298,7 +293,7 @@ def basis_names(name: str, *params) -> list[str] | None:
     if name == "heis3":
         return ["x1", "x2", "x3"]
     if name == "filiform":
-        return [f"x{i}" for i in range(int(params[0]) + 1)]
+        return [f"x{i}" for i in range(_size(params[0]) + 1)]
     if name == "assoc_a":
         return ["e", "f", "h", "t"]
     return None
@@ -316,33 +311,26 @@ def _rand_fraction(rng: random.Random, small=False) -> Fraction:
 
 def _rand_unimodular(rng: random.Random, n: int) -> Matrix:
     """Random integer matrix with determinant +-1 (product of shears and swaps)."""
-    rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    m = Matrix(rows)
+    m = Matrix.identity(n)
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        shear = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
+        shear = [list(unit_vec(n, r)) for r in range(n)]
         shear[i][j] = Fraction(rng.randrange(-2, 3))
         m = m @ Matrix(shear)
     perm = list(range(n))
     rng.shuffle(perm)
-    p = Matrix([[_ONE if perm[r] == c else _ZERO for c in range(n)] for r in range(n)])
+    p = Matrix([unit_vec(n, perm[r]) for r in range(n)])
     return m @ p
 
 
 def _lie_block(rng: random.Random, size: int) -> HomAlgebra:
-    if size >= 3:
-        pick = rng.choice(("sl2", "heis3", "filiform", "abelian"))
-    elif size == 2:
-        pick = "abelian"
-    else:
-        pick = "abelian"
-    if pick == "sl2" and size >= 3:
-        return direct_sum(sl2(), abelian(size - 3)) if size > 3 else sl2()
-    if pick == "heis3" and size >= 3:
-        return direct_sum(heis3(), abelian(size - 3)) if size > 3 else heis3()
-    if pick == "filiform" and size >= 3:
+    pick = rng.choice(("sl2", "heis3", "filiform", "abelian")) if size >= 3 else "abelian"
+    if pick in ("sl2", "heis3"):
+        head = sl2() if pick == "sl2" else heis3()
+        return direct_sum(head, abelian(size - 3)) if size > 3 else head
+    if pick == "filiform":
         return filiform(size - 1, 0).with_alpha(Matrix.identity(size))
     return abelian(size)
 
@@ -390,9 +378,38 @@ def _nilpotent_block(size: int) -> QuadraticHomAlgebra:
     rows = [[_ZERO] * size for _ in range(size)]
     for i in range(size - 1):
         rows[i][i + 1] = _ONE
-    gram = [[_ONE if i + j == size - 1 else _ZERO for j in range(size)] for i in range(size)]
+    gram = [unit_vec(size, size - 1 - i) for i in range(size)]
     alg = abelian(size).with_alpha(Matrix(rows))
     return QuadraticHomAlgebra(alg, BilinearForm(size, Matrix(gram)))
+
+
+def _twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[list[Fraction]]:
+    """Linear rows in the entries of D (row major): first (a D a - lam D)[i][j],
+    then (D^T gram + gram D)[i][j], for all i, j, with a the twist of q."""
+    n = q.dim
+    a, gram = q.alpha, q.gram
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [_ZERO] * (n * n)
+            for r in range(n):
+                for s in range(n):
+                    row[r * n + s] += a[i, r] * a[s, j]
+            row[i * n + j] -= lam
+            rows.append(row)
+    for i in range(n):
+        for j in range(n):
+            row = [_ZERO] * (n * n)
+            for r in range(n):
+                row[r * n + i] += gram[r, j]
+                row[r * n + j] += gram[i, r]
+            rows.append(row)
+    return rows
+
+
+def _unflatten(v, n: int) -> Matrix:
+    """The n x n matrix whose entries, row major, are v."""
+    return Matrix([v[i * n : (i + 1) * n] for i in range(n)])
 
 
 def extension_delta_space(
@@ -407,34 +424,14 @@ def extension_delta_space(
     multiplicativity compatibilities are not linear and must be checked on
     each candidate afterwards.
     """
-    from .exactlin import kernel, solve_linear
-
     n = q.dim
     g = q.algebra
-    a, gram = q.alpha, q.gram
+    a = q.alpha
     x0 = list(x0) if x0 is not None else [_ZERO] * n
     adx0 = g.ad_vec(x0)
-    rows = []
-    rhs = []
-    # vec(delta) row major; (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                for s in range(n):
-                    row[r * n + s] += a[i, r] * a[s, j]
-            row[i * n + j] -= lam
-            rows.append(row)
-            rhs.append(adx0[i, j])
-    # (delta^T gram + gram delta)[i][j] = 0
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                row[r * n + i] += gram[r, j]
-                row[r * n + j] += gram[i, r]
-            rows.append(row)
-            rhs.append(_ZERO)
+    # (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]; delta skew for the form
+    rows = _twist_skew_rows(q, lam)
+    rhs = [adx0[i, j] for i in range(n) for j in range(n)] + [_ZERO] * (n * n)
     # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s]
     for r in range(n):
         for s in range(r + 1, n):
@@ -462,26 +459,9 @@ def extension_delta_space(
     particular = solve_linear(system, Matrix([[v] for v in rhs]))
     if particular is None:
         return None, []
-    flat = particular.col(0)
-    part = Matrix([flat[i * n : (i + 1) * n] for i in range(n)])
-    hom = [
-        Matrix([v[i * n : (i + 1) * n] for i in range(n)])
-        for v in kernel(system).vectors()
+    return _unflatten(particular.col(0), n), [
+        _unflatten(v, n) for v in kernel(system).vectors()
     ]
-    return part, hom
-
-
-def skew_commuting_delta(rng: random.Random, q: QuadraticHomAlgebra, lam: Fraction) -> Matrix:
-    """Random delta solving the linear extension constraints with x0 = 0."""
-    part, hom = extension_delta_space(q, lam)
-    if part is None:
-        return Matrix.zeros(q.dim, q.dim)
-    out = part
-    for h in hom:
-        c = Fraction(rng.randrange(-3, 4))
-        if c:
-            out = out + h.scale(c)
-    return out
 
 
 def random_extension_data(
@@ -532,27 +512,10 @@ def involutive_action_space(
     element yields valid involutive-extension data (the module axiom is
     automatic for a one-dimensional extender).
     """
-    from .exactlin import kernel
-
     n = v.dim
     g = v.algebra
-    a, gram = v.alpha, v.gram
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                for s in range(n):
-                    row[r * n + s] += a[i, r] * a[s, j]
-            row[i * n + j] -= eps
-            rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                row[r * n + i] += gram[r, j]
-                row[r * n + j] += gram[i, r]
-            rows.append(row)
+    a = v.alpha
+    rows = _twist_skew_rows(v, eps)
     for r in range(n):
         for s in range(r + 1, n):
             c_rs = g.bracket[r][s]
@@ -570,10 +533,7 @@ def involutive_action_space(
                         if coeff:
                             row[p * n + m] -= coeff
                 rows.append(row)
-    return [
-        Matrix([vv[i * n : (i + 1) * n] for i in range(n)])
-        for vv in kernel(Matrix(rows)).vectors()
-    ]
+    return [_unflatten(vv, n) for vv in kernel(Matrix(rows)).vectors()]
 
 
 def _quadratic_blocks(rng: random.Random, dim: int, involutive_only: bool) -> QuadraticHomAlgebra:

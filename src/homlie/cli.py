@@ -415,10 +415,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PreconditionFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PreconditionFailed, ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except HomLieError as exc:

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 
-Scalar = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -90,7 +88,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls([unit_vec(n, i) for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -447,8 +445,22 @@ def kernel(a: Matrix) -> Subspace:
     return Subspace.from_vectors(n, basis)
 
 
-def row_space(a: Matrix) -> Subspace:
-    return Subspace.from_vectors(a.cols, a.data)
+def spin_up(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
+    """Smallest subspace containing seed and mapped into itself by every generator.
+
+    Each round applies every generator to every basis vector of the current
+    subspace and re-reduces the union, until a round adds nothing.
+    """
+    current = seed
+    while True:
+        new_vectors = list(current.vectors())
+        for v in current.vectors():
+            for m in generators:
+                new_vectors.append(m.apply(v))
+        grown = Subspace.from_vectors(seed.ambient_dim, new_vectors)
+        if grown == current:
+            return current
+        current = grown
 
 
 def column_space(a: Matrix) -> Subspace:

@@ -19,9 +19,11 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
 from .exactlin import (
     Matrix,
+    Subspace,
     add_vec,
     frac,
     is_zero_vec,
+    kernel,
     vec,
     zero_vec,
 )
@@ -37,6 +39,25 @@ def _tensor(dim: int, raw) -> Tensor:
     ):
         raise DimensionMismatch("structure tensor must be dim x dim x dim")
     return t
+
+
+def _bilinear(t: Tensor, x: Sequence, y: Sequence) -> Vector:
+    """Coefficients of the product of x and y under structure tensor t."""
+    x, y = vec(x), vec(y)
+    dim = len(t)
+    out = list(zero_vec(dim))
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            c = xi * yj
+            row = t[i][j]
+            for k in range(dim):
+                if row[k]:
+                    out[k] += c * row[k]
+    return tuple(out)
 
 
 class HomAlgebra:
@@ -81,20 +102,7 @@ class HomAlgebra:
 
     # basic algebra ---------------------------------------------------------
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = vec(x), vec(y)
-        out = list(zero_vec(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = self.bracket[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(out)
+        return _bilinear(self.bracket, x, y)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of [x_i, .] acting on column vectors."""
@@ -147,6 +155,18 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim})"
 
 
+def center(g: HomAlgebra) -> Subspace:
+    """Center {x : [x, y] = 0 for all y}: kernel of the stacked adjoints."""
+    return kernel(Matrix([row for m in g.ad_matrices() for row in m.data]))
+
+
+def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> list[list[Vector]]:
+    """Table of [left(x_i), right(x_j)] over all basis pairs (i, j)."""
+    lcols = [left.col(i) for i in range(g.dim)]
+    rcols = [right.col(j) for j in range(g.dim)]
+    return [[g.bracket_vec(u, v) for v in rcols] for u in lcols]
+
+
 class AssocAlgebra:
     """Hom-associative algebra: product tensor without skew symmetry."""
 
@@ -164,20 +184,7 @@ class AssocAlgebra:
         raise AttributeError("AssocAlgebra is immutable")
 
     def product_vec(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = vec(x), vec(y)
-        out = list(zero_vec(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = self.product[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(out)
+        return _bilinear(self.product, x, y)
 
     def is_commutative(self) -> bool:
         return all(
@@ -341,19 +348,11 @@ def _sparse_apply(srows: _SparseRows, v) -> list[Fraction]:
 
 
 def check_hom_lie(g: HomAlgebra) -> HomLieReport:
-    """Verify skew-symmetry and the twisted Jacobi identity on all basis triples."""
-    skew = True
-    skew_witness = None
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            for k in range(g.dim):
-                if g.bracket[i][j][k] != -g.bracket[j][i][k]:
-                    skew, skew_witness = False, (i, j, k)
-                    break
-            if not skew:
-                break
-        if not skew:
-            break
+    """Verify the twisted Jacobi identity on all basis triples.
+
+    Skew-symmetry always passes here: the HomAlgebra constructor rejects a
+    bracket tensor that is not skew.
+    """
     n = g.dim
     ad_alpha = [_sparse_rows(m) for m in _ad_alpha_matrices(g)]
     nonzero = [[not is_zero_vec(g.bracket[i][j]) for j in range(n)] for i in range(n)]
@@ -367,8 +366,8 @@ def check_hom_lie(g: HomAlgebra) -> HomLieReport:
                 t3 = _sparse_apply(ad_alpha[k], g.bracket[i][j])
                 res = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
                 if not is_zero_vec(res):
-                    return HomLieReport(skew, False, skew_witness, (i, j, k), res)
-    return HomLieReport(skew, True, skew_witness)
+                    return HomLieReport(True, False, jacobi_witness=(i, j, k), jacobi_residual=res)
+    return HomLieReport(True, True)
 
 
 def multiplicativity_witness(g: HomAlgebra) -> Optional[tuple[int, int]]:
@@ -439,8 +438,6 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
                 break
         if not symmetric:
             break
-    from .exactlin import kernel
-
     ker = kernel(gram)
     nondeg = ker.is_zero()
     degenerate_witness = None if nondeg else ker.vectors()[0]

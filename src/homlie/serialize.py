@@ -29,7 +29,10 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise ParseError(f"bad rational literal {s!r} (expected 'p' or 'p/q', q > 0)")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError(f"rational literal of {len(s)} characters is too long") from None
 
 
 def _format_vector(v) -> list[str]:
@@ -111,7 +114,7 @@ def parse_dict(data) -> ParsedFile:
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError("dim must be a positive integer")
     names = data.get("basis_names")
     if names is not None and (
@@ -134,17 +137,18 @@ def parse_dict(data) -> ParsedFile:
             seen.add((i, j))
             product[i][j] = list(coeffs)
         return ParsedFile(None, AssocAlgebra(dim, product, alpha), form, names)
-    bracket = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    pairs = {}
     for entry in _entries(data, "bracket"):
         i, j, coeffs = _entry_parts(entry, dim, ordered=True)
-        if (i, j) in seen:
+        if (i, j) in pairs:
             raise ParseError(f"duplicate bracket entry ({i},{j})")
-        seen.add((i, j))
-        for k in range(dim):
-            bracket[i][j][k] = coeffs[k]
-            bracket[j][i][k] = -coeffs[k]
-    return ParsedFile(HomAlgebra(dim, bracket, alpha), None, form, names)
+        pairs[(i, j)] = coeffs
+    return ParsedFile(HomAlgebra.from_pairs(dim, pairs, alpha), None, form, names)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _entries(data, key):
@@ -158,7 +162,7 @@ def _entry_parts(entry, dim, ordered):
     if not isinstance(entry, dict):
         raise ParseError("entries must be objects with i, j, coeffs")
     i, j = entry.get("i"), entry.get("j")
-    if not isinstance(i, int) or not isinstance(j, int):
+    if not _is_int(i) or not _is_int(j):
         raise ParseError("entry indices must be integers")
     if not (0 <= i < dim and 0 <= j < dim):
         raise ParseError(f"entry index out of range: ({i},{j})")

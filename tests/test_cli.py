@@ -95,6 +95,36 @@ def test_parse_rejects_bad_entries():
         ser.loads("{not json")
 
 
+_IDENTITY_2 = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": True, "bracket": [], "alpha": [["1"]]},
+        {"dim": 2, "bracket": [{"i": False, "j": 1, "coeffs": ["0", "1"]}], "alpha": _IDENTITY_2},
+        {"dim": 2, "bracket": [{"i": 0, "j": True, "coeffs": ["0", "1"]}], "alpha": _IDENTITY_2},
+    ],
+    ids=["dim", "i", "j"],
+)
+def test_parse_rejects_booleans_as_integers(tmp_path, payload):
+    with pytest.raises(ParseError):
+        ser.parse_dict(payload)
+    (tmp_path / "bool.json").write_text(json.dumps(payload))
+    r = run_cli(["check", "bool.json"], tmp_path)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
+def test_cli_overlong_rational_is_malformed_input(tmp_path):
+    payload = ser.algebra_to_dict(catalog.abelian(1))
+    payload["alpha"] = [["7" * 5000]]
+    (tmp_path / "long.json").write_text(json.dumps(payload))
+    r = run_cli(["check", "long.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
 def test_assoc_roundtrip():
     a = catalog.assoc_a(1)
     parsed = ser.loads(ser.dumps(ser.assoc_to_dict(a)))
@@ -358,6 +388,18 @@ def test_cli_catalog_varargs_fixtures(tmp_path):
     # wrong parameter count is a usage error
     r = run_cli(["catalog", "emit", "ex_1_2", "1", "--out", "bad.json"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("abelian", "5/2"), ("sl_n_transpose", "7/3"), ("filiform", "9/2", "1")],
+    ids=["abelian", "sl_n_transpose", "filiform"],
+)
+def test_cli_catalog_rejects_fractional_sizes(tmp_path, params):
+    r = run_cli(["catalog", "emit", *params, "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stdout
+    assert "must be an integer" in r.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_cli_radical_requires_involutive(tmp_path):
