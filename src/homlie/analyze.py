@@ -326,10 +326,6 @@ class SimplicityVerdict:
     tag: str
     witness: Optional[Subspace] = None
 
-    @property
-    def is_simple(self) -> bool:
-        return self.tag == "Simple"
-
 
 def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     """Decide simplicity where possible.

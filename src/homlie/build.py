@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
+    first_mismatch,
     frac,
     kernel,
     unit_vec,
@@ -43,6 +44,7 @@ from .homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
+    bracket_mismatch,
     bracket_table,
     center,
     check_coadjoint_condition,
@@ -147,14 +149,6 @@ def _require_lie(g: HomAlgebra, where: str):
         raise NotLie(f"{where}: Jacobi fails", witness=rep.jacobi_witness)
 
 
-def _bracket_endo_witness(g: HomAlgebra, endo: Matrix):
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if endo.apply(g.bracket[i][j]) != g.bracket_vec(endo.col(i), endo.col(j)):
-                return (i, j)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # twists and untwists
 # ---------------------------------------------------------------------------
@@ -168,7 +162,7 @@ def yau_twist(g: HomAlgebra, endo: Matrix) -> HomAlgebra:
     _require_lie(g, "yau_twist")
     if endo.shape != (g.dim, g.dim):
         raise DimensionMismatch("endomorphism must be dim x dim")
-    w = _bracket_endo_witness(g, endo)
+    w = bracket_mismatch(g, g, endo, ((endo, endo),))
     if w is not None:
         raise NotEndomorphism("map does not preserve the bracket", witness=w)
     n = g.dim
@@ -232,12 +226,9 @@ def _centroid_witness(g: HomAlgebra, theta: Matrix):
     if theta.shape != (g.dim, g.dim):
         raise DimensionMismatch("theta must be dim x dim")
     for i in range(g.dim):
+        ad = g.ad_vec(theta.col(i))
         for j in range(g.dim):
-            if i == j:
-                continue
-            lhs = theta.apply(g.bracket[i][j])
-            rhs = g.ad_vec(theta.col(i)).col(j)
-            if lhs != rhs:
+            if theta.apply(g.bracket[i][j]) != ad.col(j):
                 return (i, j)
     return None
 
@@ -336,7 +327,7 @@ def quadratic_yau_twist(q: QuadraticHomAlgebra, endo: Matrix) -> QuadraticHomAlg
     """
     g = q.algebra
     _require_lie(g, "quadratic_yau_twist")
-    w = _bracket_endo_witness(g, endo)
+    w = bracket_mismatch(g, g, endo, ((endo, endo),))
     if w is not None or endo.inverse() is None:
         raise NotAutomorphism("twist must be a bracket automorphism", witness=w)
     if endo.transpose() @ q.gram != q.gram @ endo:
@@ -393,7 +384,7 @@ def omega_extension(g: HomAlgebra, a: Matrix | None = None) -> QuadraticHomAlgeb
         a = g.alpha
         g = g.with_alpha(Matrix.identity(g.dim))
     _require_lie(g, "omega_extension")
-    w = _bracket_endo_witness(g, a)
+    w = bracket_mismatch(g, g, a, ((a, a),))
     if w is not None or a.inverse() is None:
         raise NotAutomorphism("a must be a bracket automorphism", witness=w)
     z = center(g)
@@ -490,14 +481,6 @@ class ExtensionData1D:
         object.__setattr__(self, "lam0", frac(self.lam0))
 
 
-def _first_matrix_mismatch(a: Matrix, b: Matrix):
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return (i, j)
-    return None
-
-
 def double_extension_conditions(
     v: QuadraticHomAlgebra, d: ExtensionData1D
 ) -> list[tuple[str, tuple]]:
@@ -517,39 +500,24 @@ def double_extension_conditions(
     bad = []
     lhs = a @ dl @ a - dl.scale(d.lam)
     rhs = g.ad_vec(d.x0)
-    w = _first_matrix_mismatch(lhs, rhs)
+    w = first_mismatch(lhs, rhs)
     if w is not None:
         bad.append(("DE1", w))
     d2 = dl @ dl
-    w = _first_matrix_mismatch(a @ d2 - d2 @ a, g.ad_vec(dl.apply(d.x0)))
+    w = first_mismatch(a @ d2 - d2 @ a, g.ad_vec(dl.apply(d.x0)))
     if w is not None:
         bad.append(("DE2", w))
     op = dl.scale(d.lam) + g.ad_vec(d.x0)
-    de3 = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            left = op.apply(g.bracket[i][j])
-            right = tuple(
-                p + q
-                for p, q in zip(
-                    g.bracket_vec(dl.col(i), a.col(j)),
-                    g.bracket_vec(a.col(i), dl.col(j)),
-                )
-            )
-            if left != right:
-                de3 = (i, j)
-                break
-        if de3 is not None:
-            break
-    if de3 is not None:
-        bad.append(("DE3", de3))
-    w = _first_matrix_mismatch(dl.transpose() @ gram, (gram @ dl).scale(-1))
+    w = bracket_mismatch(g, g, op, ((dl, a), (a, dl)))
+    if w is not None:
+        bad.append(("DE3", w))
+    w = first_mismatch(dl.transpose() @ gram, (gram @ dl).scale(-1))
     if w is not None:
         bad.append(("NotSkew", w))
     # multiplicativity of the extension needs two extra identities beyond the
     # displayed conditions; both hold automatically for involution-compatible
     # data and for data extracted from a multiplicative algebra.
-    w = _first_matrix_mismatch(a @ dl, op @ a)
+    w = first_mismatch(a @ dl, op @ a)
     if w is not None:
         bad.append(("DEmult", w))
     else:
@@ -635,42 +603,28 @@ def _check_involutive_extension(v, a, d):
     if not check_representation(a, rep):
         raise NotRepresentation("phi is not a module action with twist alpha_V")
     av, gram = gv.alpha, v.gram
-    for r in range(m):
-        p = d.phi[r]
+    ident = Matrix.identity(n)
+    for r, p in enumerate(d.phi):
         pav = p @ av
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = av.apply(p.apply(gv.bracket[i][j]))
-                rhs = tuple(
-                    x + y
-                    for x, y in zip(
-                        gv.bracket_vec(pav.col(i), unit_vec(n, j)),
-                        gv.bracket_vec(unit_vec(n, i), pav.col(j)),
-                    )
-                )
-                if lhs != rhs:
-                    raise ConditionFailed("TDE1", witness=(r, i, j))
+        w = bracket_mismatch(gv, gv, av @ p, ((pav, ident), (ident, pav)))
+        if w is not None:
+            raise ConditionFailed("TDE1", witness=(r,) + w)
     for r in range(m):
         lhs = rep.rho_vec(a.alpha.col(r))
         rhs = av @ d.phi[r] @ av
-        w = _first_matrix_mismatch(lhs, rhs)
+        w = first_mismatch(lhs, rhs)
         if w is not None:
             raise ConditionFailed("TDE2", witness=(r,) + w)
     for r in range(m):
-        w = _first_matrix_mismatch(d.phi[r].transpose() @ gram, (gram @ d.phi[r]).scale(-1))
+        w = first_mismatch(d.phi[r].transpose() @ gram, (gram @ d.phi[r]).scale(-1))
         if w is not None:
             raise ConditionFailed("TDE3", witness=(r,) + w)
-    gm = d.gamma.gram
-    if not gm.is_symmetric():
+    qrep = check_quadratic(a, d.gamma)
+    if not qrep.symmetric:
         raise ConditionFailed("GammaInvalid", "gamma is not symmetric")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if d.gamma.value(a.bracket[i][j], unit_vec(m, k)) != d.gamma.value(
-                    unit_vec(m, i), a.bracket[j][k]
-                ):
-                    raise ConditionFailed("GammaInvalid", witness=(i, j, k))
-    if _first_matrix_mismatch(gm @ a.alpha, a.alpha.transpose() @ gm) is not None:
+    if not qrep.invariant:
+        raise ConditionFailed("GammaInvalid", witness=qrep.invariant_witness)
+    if not qrep.alpha_symmetric:
         raise ConditionFailed("GammaInvalid", "gamma is not alpha_A-symmetric")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -399,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     kl.add_argument("--json", action="store_true")
     kl.set_defaults(func=_cmd_catalog)
     ke = ksub.add_parser("emit")
+    # argparse reads "-1/2" as an option; like "-4", a negative rational is a parameter
+    ke._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     ke.add_argument("name")
     ke.add_argument("params", nargs="*")
     ke.add_argument("--out", required=True)

@@ -296,6 +296,15 @@ class Matrix:
             raise NotSquare(f"matrix is {self.shape}")
 
 
+def first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
+    """First entry (i, j) in row-major order where a and b differ, or None."""
+    a._same_shape(b)
+    for i, (ra, rb) in enumerate(zip(a.data, b.data)):
+        if ra != rb:
+            return i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+    return None
+
+
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """Some exact solution x of a @ x = b, or None when inconsistent.
 

@@ -21,6 +21,7 @@ from .exactlin import (
     Matrix,
     Subspace,
     add_vec,
+    first_mismatch,
     frac,
     is_zero_vec,
     kernel,
@@ -215,9 +216,6 @@ class BilinearForm:
     def is_symmetric(self) -> bool:
         return self.gram.is_symmetric()
 
-    def is_nondegenerate(self) -> bool:
-        return self.gram.rank() == self.dim
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -307,28 +305,6 @@ def jacobiator(g: HomAlgebra, i: int, j: int, k: int) -> Vector:
     return add_vec(add_vec(t1, t2), t3)
 
 
-def _ad_alpha_matrices(g: HomAlgebra) -> list[Matrix]:
-    """Matrices of [alpha(x_i), .], precomputed for fast Jacobi scans."""
-    ads = g.ad_matrices()
-    n = g.dim
-    out = []
-    for i in range(n):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for m in range(n):
-            c = g.alpha[m, i]
-            if c == 0:
-                continue
-            adm = ads[m].data
-            for r in range(n):
-                src = adm[r]
-                dst = rows[r]
-                for s in range(n):
-                    if src[s]:
-                        dst[s] += c * src[s]
-        out.append(Matrix(rows))
-    return out
-
-
 _SparseRows = list[tuple[tuple[int, Fraction], ...]]
 
 
@@ -354,7 +330,7 @@ def check_hom_lie(g: HomAlgebra) -> HomLieReport:
     bracket tensor that is not skew.
     """
     n = g.dim
-    ad_alpha = [_sparse_rows(m) for m in _ad_alpha_matrices(g)]
+    ad_alpha = [_sparse_rows(g.ad_vec(g.alpha_col(i))) for i in range(n)]
     nonzero = [[not is_zero_vec(g.bracket[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -370,16 +346,34 @@ def check_hom_lie(g: HomAlgebra) -> HomLieReport:
     return HomLieReport(True, True)
 
 
-def multiplicativity_witness(g: HomAlgebra) -> Optional[tuple[int, int]]:
-    """First basis pair where alpha([x_i,x_j]) != [alpha(x_i),alpha(x_j)]."""
-    ad_alpha = _ad_alpha_matrices(g)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = g.alpha.apply(g.bracket[i][j])
-            rhs = ad_alpha[i].apply(g.alpha_col(j))
-            if lhs != rhs:
+def bracket_mismatch(
+    g: HomAlgebra, h: HomAlgebra, lhs: Matrix, terms: Sequence[tuple[Matrix, Matrix]]
+) -> Optional[tuple[int, int]]:
+    """First basis pair i < j where lhs([x_i,x_j]) != sum of [P x_i, Q x_j] over terms.
+
+    The brackets [x_i, x_j] are taken in g and [P x_i, Q x_j] in h; lhs and
+    every P and Q map g into h.
+    """
+    n = g.dim
+    shape = (h.dim, n)
+    if lhs.shape != shape or any(m.shape != shape for pair in terms for m in pair):
+        raise DimensionMismatch("maps must send g into h")
+    left = _sparse_rows(lhs)
+    qcols = [[q.col(j) for j in range(n)] for _, q in terms]
+    for i in range(n - 1):
+        ads = [_sparse_rows(h.ad_vec(p.col(i))) for p, _ in terms]
+        for j in range(i + 1, n):
+            rhs = _sparse_apply(ads[0], qcols[0][j])
+            for ad, cols in zip(ads[1:], qcols[1:]):
+                rhs = [a + b for a, b in zip(rhs, _sparse_apply(ad, cols[j]))]
+            if _sparse_apply(left, g.bracket[i][j]) != rhs:
                 return (i, j)
     return None
+
+
+def multiplicativity_witness(g: HomAlgebra) -> Optional[tuple[int, int]]:
+    """First basis pair where alpha([x_i,x_j]) != [alpha(x_i),alpha(x_j)]."""
+    return bracket_mismatch(g, g, g.alpha, ((g.alpha, g.alpha),))
 
 
 def is_multiplicative(g: HomAlgebra) -> bool:
@@ -429,58 +423,31 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
         raise DimensionMismatch("form and algebra dimensions differ")
     n = g.dim
     gram = b.gram
-    symmetric = True
-    sym_witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i, j] != gram[j, i]:
-                symmetric, sym_witness = False, (i, j)
-                break
-        if not symmetric:
-            break
+    # the first asymmetric entry in row-major order always has i < j
+    sym_witness = first_mismatch(gram, gram.transpose())
     ker = kernel(gram)
     nondeg = ker.is_zero()
     degenerate_witness = None if nondeg else ker.vectors()[0]
-    invariant = True
     inv_witness = None
-    ads = g.ad_matrices()
     for i in range(n):
-        lhs = ads[i].transpose() @ gram  # (y,z) -> B([x_i,y],z)
-        gram_row = [(m, gram[i, m]) for m in range(n) if gram[i, m]]
-        rhs_rows = [
+        lhs = g.ad(i).transpose() @ gram  # (y,z) -> B([x_i,y],z)
+        gram_row = [(m, c) for m, c in enumerate(gram.row(i)) if c]
+        rhs = Matrix(  # (y,z) -> B(x_i,[y,z])
             [
-                sum((c * g.bracket[j][k][m] for m, c in gram_row), frac(0))
-                for k in range(n)
+                [sum((c * g.bracket[j][k][m] for m, c in gram_row), frac(0)) for k in range(n)]
+                for j in range(n)
             ]
-            for j in range(n)
-        ]
-        rhs = Matrix(rhs_rows)  # (y,z) -> B(x_i,[y,z])
-        if lhs != rhs:
-            for j in range(n):
-                for k in range(n):
-                    if lhs[j, k] != rhs[j, k]:
-                        invariant, inv_witness = False, (i, j, k)
-                        break
-                if not invariant:
-                    break
-        if not invariant:
-            break
-    lhs = gram @ g.alpha
-    rhs = g.alpha.transpose() @ gram
-    alpha_symmetric = lhs == rhs
-    alpha_witness = None
-    if not alpha_symmetric:
-        alpha_witness = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if lhs[i, j] != rhs[i, j]
         )
+        w = first_mismatch(lhs, rhs)
+        if w is not None:
+            inv_witness = (i,) + w
+            break
+    alpha_witness = first_mismatch(gram @ g.alpha, g.alpha.transpose() @ gram)
     return QuadraticReport(
-        symmetric,
+        sym_witness is None,
         nondeg,
-        invariant,
-        alpha_symmetric,
+        inv_witness is None,
+        alpha_witness is None,
         sym_witness,
         degenerate_witness,
         inv_witness,
@@ -492,15 +459,10 @@ def check_hom_quadratic(g: HomAlgebra, b: BilinearForm, gamma: Matrix) -> bool:
     """Twisted invariance B([x,y],gamma(z)) = -B(gamma(y),[x,z]) on basis triples."""
     if b.dim != g.dim or gamma.shape != (g.dim, g.dim):
         raise DimensionMismatch("incompatible dimensions")
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = b.value(g.bracket[i][j], gamma.col(k))
-                rhs = -b.value(gamma.col(j), g.bracket[i][k])
-                if lhs != rhs:
-                    return False
-    return True
+    gram_gamma = b.gram @ gamma
+    gamma_gram = gamma.transpose() @ b.gram
+    # per x_i: (y,z) -> B([x_i,y],gamma(z)) against (y,z) -> -B(gamma(y),[x_i,z])
+    return all(ad.transpose() @ gram_gamma == -(gamma_gram @ ad) for ad in g.ad_matrices())
 
 
 class QuadraticHomAlgebra:
@@ -575,7 +537,7 @@ def check_coadjoint_condition(g: HomAlgebra) -> bool:
     action and transposed twist is a representation.
     """
     ads = g.ad_matrices()
-    ad_alpha = _ad_alpha_matrices(g)
+    ad_alpha = [g.ad_vec(g.alpha_col(i)) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             # both sides are linear in z, compare the operators
@@ -621,11 +583,7 @@ def check_morphism(g: HomAlgebra, h: HomAlgebra, f: Matrix) -> bool:
         raise DimensionMismatch("f must map g into h")
     if f @ g.alpha != h.alpha @ f:
         return False
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if f.apply(g.bracket[i][j]) != h.bracket_vec(f.col(i), f.col(j)):
-                return False
-    return True
+    return bracket_mismatch(g, h, f, ((f, f),)) is None
 
 
 def is_lie_algebra(g: HomAlgebra) -> bool:

@@ -31,6 +31,7 @@ from homlie.build import (
     yau_twist,
 )
 from homlie.errors import (
+    AlphaNotInCentroid,
     AnnihilatorConditionFailed,
     CenterConditionFailed,
     ConditionFailed,
@@ -85,8 +86,12 @@ def test_yau_twist_sl2_involution():
 
 
 def test_yau_twist_rejects_non_endomorphism():
-    with pytest.raises(NotEndomorphism):
+    with pytest.raises(NotEndomorphism) as err:
         yau_twist(catalog.sl2(), Matrix.diagonal([1, 1, 2]))
+    assert err.value.witness == (0, 1)
+    with pytest.raises(NotEndomorphism) as err:
+        yau_twist(catalog.sl_n(3), Matrix.diagonal([1, 1, 1, 1, 1, 2, 1, 1]))
+    assert err.value.witness == (0, 4)
 
 
 def test_yau_twist_requires_lie():
@@ -166,6 +171,17 @@ def test_centroid_twists_blockwise():
     assert check_hom_lie(h1).ok and check_hom_lie(h2).ok
     with pytest.raises(NotInCentroid):
         centroid_twists(catalog.sl2(), Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+
+
+def test_centroid_checks_diagonal_pairs():
+    # [theta x1, x1] = [x1 + x2, x1] = -x3 although theta[x1, x1] = 0
+    theta = Matrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(NotInCentroid) as err:
+        centroid_twists(catalog.heis3(), theta)
+    assert err.value.witness == (0, 0)
+    with pytest.raises(AlphaNotInCentroid) as err:
+        centroid_untwist(catalog.heis3().with_alpha(theta))
+    assert err.value.witness == (0, 0)
 
 
 def test_centroid_untwist_formulas():
@@ -461,6 +477,16 @@ def test_double_extension_condition_witnesses():
     de1 = ExtensionData1D(Matrix([[0, 1], [-1, 0]]), (0, 0), F(2), F(0))
     bad = double_extension_conditions(base, de1)
     assert bad and bad[0][0] == "DE1"
+    # DE3 only: with identity twist, x0 = 0 and lam = 1, DE3 asks for a derivation
+    sl3 = QuadraticHomAlgebra(catalog.sl_n(3), catalog.sl_n_killing(3))
+    de3 = ExtensionData1D(Matrix.diagonal([0, 0, 0, 0, 0, 1, 0, 0]), (0,) * 8, F(1), F(0))
+    assert double_extension_conditions(sl3, de3) == [("DE3", (0, 4)), ("NotSkew", (3, 5))]
+    with pytest.raises(ConditionFailed) as err:
+        double_extension_1d(sl3, de3)
+    assert (err.value.condition, err.value.witness) == ("DE3", (0, 4))
+    tw = catalog.sl_n_transpose(2)
+    cartan = ExtensionData1D(Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), (0, 0, 0), F(-1), F(0))
+    assert double_extension_conditions(tw, cartan) == [("DE3", (0, 2)), ("NotSkew", (0, 0))]
 
 
 def test_double_extension_multiplicativity_guard():
@@ -527,6 +553,28 @@ def test_involutive_double_extension_skew_guard():
     with pytest.raises(ConditionFailed) as err:
         involutive_double_extension(v, a, d)
     assert err.value.condition == "TDE3"
+
+
+def test_involutive_double_extension_witnesses():
+    sl3 = QuadraticHomAlgebra(catalog.sl_n(3), catalog.sl_n_killing(3))
+    scale5 = Matrix.diagonal([0, 0, 0, 0, 0, 1, 0, 0])
+    zero_gamma = BilinearForm(2, Matrix.zeros(2, 2))
+    # the second action matrix is no derivation of sl3: TDE1 fails for r = 1
+    d = InvolutiveExtensionData((Matrix.zeros(8, 8), scale5), zero_gamma)
+    with pytest.raises(ConditionFailed) as err:
+        involutive_double_extension(sl3, catalog.abelian(2), d)
+    assert (err.value.condition, err.value.witness) == ("TDE1", (1, 0, 4))
+    # valid action of sl2 on its Killing module, but gamma not invariant
+    v, a, d = sl2_on_killing_module()
+    for gram, witness in (
+        (Matrix.identity(3), (0, 0, 2)),
+        (Matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), (0, 0, 1)),
+        (Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), (0, 1, 2)),
+    ):
+        bad = InvolutiveExtensionData(d.phi, BilinearForm(3, gram))
+        with pytest.raises(ConditionFailed) as err:
+            involutive_double_extension(v, a, bad)
+        assert (err.value.condition, err.value.witness) == ("GammaInvalid", witness)
 
 
 def test_involutive_extension_literal_vs_corrected():

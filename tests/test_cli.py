@@ -402,6 +402,22 @@ def test_cli_catalog_rejects_fractional_sizes(tmp_path, params):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [("jackson_sl2", "-1/2"), ("ex_1_2", "-3/2", "3", "-4", "5/3")],
+    ids=["jackson_sl2", "ex_1_2"],
+)
+def test_cli_catalog_emit_negative_fractions(tmp_path, params):
+    name, *args = params
+    r = run_cli(["catalog", "emit", *params, "--out", "x.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    fractions = [Fraction(a) for a in args]
+    payload = ser.algebra_to_dict(
+        catalog.emit(name, *fractions), None, catalog.basis_names(name, *fractions)
+    )
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == ser.dumps(payload)
+
+
 def test_cli_radical_requires_involutive(tmp_path):
     r = run_cli(["catalog", "emit", "filiform", "4", "1", "--out", "f.json"], tmp_path)
     assert r.returncode == 0, r.stderr

@@ -25,6 +25,7 @@ from homlie.homalg import (
     classify_alpha,
     commutator_hom_lie,
     jacobiator,
+    multiplicativity_witness,
 )
 
 fr = st.fractions(min_value=-4, max_value=4, max_denominator=2)
@@ -107,6 +108,11 @@ def test_classify_alpha():
     nil = classify_alpha(catalog.abelian(2).with_alpha(Matrix([[0, 1], [0, 0]])))
     assert nil.nilpotent and nil.tag == "nilpotent"
 
+    # the multiplicativity witness is the first failing pair i < j
+    assert multiplicativity_witness(tw) is None
+    assert multiplicativity_witness(catalog.jackson_sl2(2)) == (0, 1)
+    assert multiplicativity_witness(catalog.sl_n(3).with_alpha(_scaled_unit(8, 5))) == (0, 4)
+
 
 def test_involutive_flag_requires_multiplicativity():
     # alpha^2 = id but alpha is not a bracket morphism
@@ -127,11 +133,34 @@ def test_check_quadratic_degenerate():
     assert rep.symmetric and not rep.nondegenerate
 
 
+def _scaled_unit(n, i):
+    """Identity with its i-th diagonal entry doubled."""
+    return Matrix.diagonal([2 if k == i else 1 for k in range(n)])
+
+
+def _poked(m, i, j):
+    rows = [list(r) for r in m.data]
+    rows[i][j] += 1
+    return Matrix(rows)
+
+
 def test_check_quadratic_witnesses():
     g = catalog.sl2()
     rep = check_quadratic(g, BilinearForm(3, Matrix.identity(3)))  # not invariant
     assert not rep.invariant
-    assert rep.invariant_witness is not None
+    assert rep.invariant_witness == (0, 0, 2)
+
+    sl3, killing = catalog.sl_n(3), catalog.sl_n_killing(3).gram
+    rep = check_quadratic(sl3, BilinearForm(8, _poked(killing, 3, 6)))
+    assert (rep.symmetric_witness, rep.invariant_witness) == ((3, 6), (1, 2, 6))
+    rep = check_quadratic(sl3, BilinearForm(8, _poked(_poked(killing, 2, 5), 5, 2)))
+    assert rep.symmetric and rep.invariant_witness == (0, 4, 2)
+
+    tw = catalog.sl_n_transpose(2)
+    shear = Matrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+    rep = check_quadratic(tw.algebra.with_alpha(shear), tw.form)
+    assert rep.symmetric and rep.invariant
+    assert rep.alpha_witness == (1, 2)
 
 
 def test_quadratic_constructor_validates():
@@ -227,6 +256,15 @@ def test_check_morphism_identity_and_zero():
     assert check_morphism(g, g, Matrix.identity(3))
     assert check_morphism(g, g, Matrix.zeros(3, 3))
     assert not check_morphism(g, g, Matrix.diagonal([1, 1, 2]))
+    # the twists commute with f, so only the bracket scan can reject it
+    sl3 = catalog.sl_n(3)
+    assert not check_morphism(sl3, sl3, _scaled_unit(8, 5))
+    # an isomorphism onto another algebra, and a map that is not one
+    sl2 = catalog.sl2()
+    h = change_basis(sl2, Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    p_inv = Matrix([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+    assert check_morphism(sl2, h, p_inv)
+    assert not check_morphism(sl2, h, _poked(p_inv, 2, 2))
 
 
 def test_quadratic_self_duality():
