@@ -8,7 +8,6 @@ from .homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
-    check_coadjoint_condition,
     check_hom_associative,
     check_hom_lie,
     check_hom_quadratic,

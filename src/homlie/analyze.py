@@ -117,15 +117,13 @@ def restrict_hom(g: HomAlgebra, w: Subspace) -> HomAlgebra:
     """Structure induced on an invariant subspace, in its RREF basis."""
     rows = w.vectors()
     k = w.dim
-    bracket = []
-    for u in rows:
-        line = []
-        for v in rows:
-            coords = w.coords_of(g.bracket_vec(u, v))
+    bracket = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            coords = w.coords_of(g.bracket_vec(rows[a], rows[b]))
             if coords is None:
                 raise NotSubalgebra("subspace is not closed under the bracket")
-            line.append(coords)
-        bracket.append(line)
+            bracket[(a, b)] = coords
     alpha_cols = []
     for u in rows:
         coords = w.coords_of(g.alpha.apply(u))
@@ -200,10 +198,7 @@ def _candidate_ideals(q: QuadraticHomAlgebra) -> list[Subspace]:
         _, ker_part, im_part = kernel_image_power(g.alpha)
         cands += [ker_part, im_part]
     z = center(g)
-    derived = Subspace.from_vectors(
-        g.dim,
-        [g.bracket[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)],
-    )
+    derived = Subspace.from_vectors(g.dim, g.bracket.values())
     cands += [ideal_closure(g, z), ideal_closure(g, derived)]
     cands += [orthogonal_subspace(q, c) for c in list(cands)]
     for _, eig in rational_eigenpairs(g.alpha):
@@ -294,10 +289,7 @@ def radical_involutive(g: HomAlgebra) -> Subspace:
         raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
     lie = associated_lie_algebra(g)
     killing = trace_form(lie)
-    derived = Subspace.from_vectors(
-        g.dim,
-        [lie.bracket[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)],
-    )
+    derived = Subspace.from_vectors(g.dim, lie.bracket.values())
     rad = (
         Subspace.full(g.dim)
         if derived.dim == 0
@@ -344,10 +336,7 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     seeds: list[tuple[Fraction, ...]] = [unit_vec(n, i) for i in range(n)]
     for _, eig in rational_eigenpairs(g.alpha):
         seeds.extend(eig.vectors())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_vec(g.bracket[i][j]):
-                seeds.append(g.bracket[i][j])
+    seeds.extend(g.bracket.values())
     for _ in range(budget):
         seeds.append(
             tuple(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2))) for _ in range(n))
@@ -539,15 +528,13 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
             raise ReconstructionFailed("[b, V] leaves V")
         delta_cols.append(coords)
     delta = Matrix.from_cols(delta_cols)
-    bracket_v = []
-    for u in rows:
-        line = []
-        for t in rows:
-            cb, coords, _ = decompose(g.bracket_vec(u, t))
+    bracket_v = {}
+    for a in range(k):
+        for c in range(a + 1, k):
+            cb, coords, _ = decompose(g.bracket_vec(rows[a], rows[c]))
             if cb != 0:
                 raise ReconstructionFailed("[V, V] has a b component")
-            line.append(coords)
-        bracket_v.append(line)
+            bracket_v[(a, c)] = coords
     gram_v = v_space.basis @ q.gram @ v_space.basis.transpose()
     base = QuadraticHomAlgebra(
         HomAlgebra(k, bracket_v, alpha_v), BilinearForm(k, gram_v)

@@ -8,6 +8,7 @@ reports the first violating index tuple on failure.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .exactlin import (
     Matrix,
     first_mismatch,
     frac,
+    is_zero_vec,
     kernel,
     unit_vec,
     vec,
@@ -47,7 +49,6 @@ from .homalg import (
     bracket_mismatch,
     bracket_table,
     center,
-    check_coadjoint_condition,
     check_hom_lie,
     check_hom_associative,
     check_quadratic,
@@ -63,38 +64,46 @@ _ONE = Fraction(1)
 # plumbing: direct sums and base changes
 # ---------------------------------------------------------------------------
 
-def _zero_table(dim: int) -> list:
-    return [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+def _table(dim: int) -> defaultdict:
+    """Bracket entries of a dim-dimensional algebra being assembled, zero until written."""
+    return defaultdict(lambda: list(zero_vec(dim)))
 
 
-def _put_bracket(table: list, off: int, g: HomAlgebra):
+def _put_bracket(table: dict, off: int, g: HomAlgebra):
     """Copy the bracket of g onto the basis vectors off .. off + g.dim - 1."""
-    end = off + g.dim
-    for i in range(g.dim):
-        for j in range(g.dim):
-            table[off + i][off + j][off:end] = g.bracket[i][j]
+    for (i, j), v in g.bracket.items():
+        table[(off + i, off + j)][off : off + g.dim] = v
 
 
-def _put_action(table: list, x_off: int, v_off: int, mats):
-    """Write [x_i, v] = mats[i] v and [v, x_i] = -mats[i] v for module basis vectors v.
+def _put_action(table: dict, x_off: int, v_off: int, mats):
+    """Write [x_i, v] = mats[i] v for module basis vectors v (and so [v, x_i] = -mats[i] v).
 
-    x_i is basis vector x_off + i and the module occupies v_off onwards.
+    x_i is basis vector x_off + i and the module occupies v_off onwards, after
+    every x_i.
     """
     for i, mat in enumerate(mats):
-        end = v_off + mat.rows
         for u in range(mat.cols):
             col = mat.col(u)
-            table[x_off + i][v_off + u][v_off:end] = col
-            table[v_off + u][x_off + i][v_off:end] = [-c for c in col]
+            if not is_zero_vec(col):
+                table[(x_off + i, v_off + u)][v_off : v_off + mat.rows] = col
 
 
-def _put_pairing(table: list, v_off: int, out_off: int, mats, gram: Matrix):
-    """Give [x_i, x_j] the component B(mats[r] x_i, x_j) on basis vector out_off + r."""
+def _put_pairing(table: dict, v_off: int, out_off: int, mats, gram: Matrix):
+    """Give [x_i, x_j] the component B(mats[r] x_i, x_j) on basis vector out_off + r.
+
+    Each mats[r] must be skew for the form, so that the pairing is skew.
+    """
     for r, mat in enumerate(mats):
         pairing = mat.transpose() @ gram
         for i in range(pairing.rows):
-            for j in range(pairing.cols):
-                table[v_off + i][v_off + j][out_off + r] = pairing[i, j]
+            for j in range(i + 1, pairing.cols):
+                if pairing[i, j]:
+                    table[(v_off + i, v_off + j)][out_off + r] = pairing[i, j]
+
+
+def _mapped(m: Matrix, pairs) -> dict:
+    """The bracket entries pairs with every coefficient vector mapped through m."""
+    return {ij: m.apply(v) for ij, v in pairs.items()}
 
 
 def _extension_gram(gamma: Matrix, base: Matrix) -> Matrix:
@@ -114,7 +123,7 @@ def _coadjoint(g: HomAlgebra) -> tuple[Matrix, ...]:
 
 def direct_sum(g: HomAlgebra, h: HomAlgebra) -> HomAlgebra:
     """Direct sum of Hom-algebras with blockwise bracket and twist."""
-    bracket = _zero_table(g.dim + h.dim)
+    bracket = _table(g.dim + h.dim)
     _put_bracket(bracket, 0, g)
     _put_bracket(bracket, g.dim, h)
     return HomAlgebra(g.dim + h.dim, bracket, Matrix.block_diagonal([g.alpha, h.alpha]))
@@ -131,8 +140,7 @@ def change_basis(g: HomAlgebra, p: Matrix) -> HomAlgebra:
     pinv = p.inverse()
     if pinv is None:
         raise NotAutomorphism("change of basis must be invertible")
-    bracket = [[pinv.apply(v) for v in row] for row in bracket_table(g, p, p)]
-    return HomAlgebra(g.dim, bracket, pinv @ g.alpha @ p)
+    return HomAlgebra(g.dim, _mapped(pinv, bracket_table(g, p, p)), pinv @ g.alpha @ p)
 
 
 def change_basis_quadratic(q: QuadraticHomAlgebra, p: Matrix) -> QuadraticHomAlgebra:
@@ -165,9 +173,7 @@ def yau_twist(g: HomAlgebra, endo: Matrix) -> HomAlgebra:
     w = bracket_mismatch(g, g, endo, ((endo, endo),))
     if w is not None:
         raise NotEndomorphism("map does not preserve the bracket", witness=w)
-    n = g.dim
-    bracket = [[endo.apply(g.bracket[i][j]) for j in range(n)] for i in range(n)]
-    return HomAlgebra(n, bracket, endo)
+    return HomAlgebra(g.dim, _mapped(endo, g.bracket), endo)
 
 
 def untwist_regular(g: HomAlgebra) -> HomAlgebra:
@@ -180,9 +186,7 @@ def untwist_regular(g: HomAlgebra) -> HomAlgebra:
     inv = g.alpha.inverse()
     if inv is None:
         raise NotRegular("twist map is not invertible")
-    n = g.dim
-    bracket = [[inv.apply(g.bracket[i][j]) for j in range(n)] for i in range(n)]
-    out = HomAlgebra(n, bracket, Matrix.identity(n))
+    out = HomAlgebra(g.dim, _mapped(inv, g.bracket), Matrix.identity(g.dim))
     rep = check_hom_lie(out)
     if not rep.hom_jacobi:
         raise NotRegular(
@@ -199,11 +203,7 @@ def derived_hom_algebra(g: HomAlgebra, n: int) -> HomAlgebra:
     w = multiplicativity_witness(g)
     if w is not None:
         raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
-    an = g.alpha.power(n)
-    bracket = [
-        [an.apply(g.bracket[i][j]) for j in range(g.dim)] for i in range(g.dim)
-    ]
-    return HomAlgebra(g.dim, bracket, g.alpha.power(n + 1))
+    return HomAlgebra(g.dim, _mapped(g.alpha.power(n), g.bracket), g.alpha.power(n + 1))
 
 
 def centroid_twists(g: HomAlgebra, theta: Matrix) -> tuple[HomAlgebra, HomAlgebra]:
@@ -228,7 +228,7 @@ def _centroid_witness(g: HomAlgebra, theta: Matrix):
     for i in range(g.dim):
         ad = g.ad_vec(theta.col(i))
         for j in range(g.dim):
-            if theta.apply(g.bracket[i][j]) != ad.col(j):
+            if theta.apply(g.basis_bracket(i, j)) != ad.col(j):
                 return (i, j)
     return None
 
@@ -302,7 +302,7 @@ def coadjoint_rep(g: HomAlgebra) -> tuple[Representation, bool]:
     exactly when the coadjoint identity does.
     """
     rep = Representation(g.dim, g.dim, _coadjoint(g), g.alpha.transpose())
-    return rep, check_coadjoint_condition(g)
+    return rep, check_representation(g, rep)
 
 
 def semidirect_sum(g: HomAlgebra, r: Representation) -> HomAlgebra:
@@ -310,7 +310,7 @@ def semidirect_sum(g: HomAlgebra, r: Representation) -> HomAlgebra:
     if not check_representation(g, r):
         raise NotRepresentation("module axiom fails")
     dim = g.dim + r.module_dim
-    bracket = _zero_table(dim)
+    bracket = _table(dim)
     _put_bracket(bracket, 0, g)
     _put_action(bracket, 0, g.dim, r.rho)
     return HomAlgebra(dim, bracket, Matrix.block_diagonal([g.alpha, r.beta]))
@@ -358,7 +358,7 @@ def tstar_extension(g: HomAlgebra) -> QuadraticHomAlgebra:
     _require_lie(g, "tstar_extension")
     n = g.dim
     dim = 2 * n
-    bracket = _zero_table(dim)
+    bracket = _table(dim)
     _put_bracket(bracket, 0, g)
     _put_action(bracket, 0, n, _coadjoint(g))
     gram = _extension_gram(Matrix.zeros(n, n), Matrix.zeros(0, 0))
@@ -432,24 +432,16 @@ def tensor_current(
             raise AnnihilatorConditionFailed(
                 "Im(theta^2 - id) is not contained in the annihilator", witness=col
             )
-    n = g.dim
-    dim = n * m
-    bracket = _zero_table(dim)
-    for i in range(n):
-        for j in range(n):
-            cg = g.bracket[i][j]
-            for r in range(m):
-                for s in range(m):
-                    pa = a.product[r][s]
-                    row = bracket[i * m + r][j * m + s]
-                    for k in range(n):
-                        if cg[k] == 0:
-                            continue
-                        for t in range(m):
-                            if pa[t]:
-                                row[k * m + t] += cg[k] * pa[t]
+    dim = g.dim * m
+    # [x_i (x) a_r, x_j (x) a_s] = [x_i, x_j] (x) a_r a_s, on basis index i * m + r
+    bracket = {
+        (i * m + r, j * m + s): [c * p for c in cg for p in a.product[r][s]]
+        for (i, j), cg in g.bracket.items()
+        for r in range(m)
+        for s in range(m)
+    }
     lie = HomAlgebra(dim, bracket, Matrix.identity(dim))
-    theta_tilde = Matrix.kronecker(Matrix.identity(n), theta)
+    theta_tilde = Matrix.kronecker(Matrix.identity(g.dim), theta)
     z = center(lie)
     big_defect = theta_tilde @ theta_tilde - Matrix.identity(dim)
     for j in range(dim):
@@ -559,7 +551,7 @@ def double_extension_1d(
     n = g.dim
     dim = n + 2
     E, B0 = n + 1, 0  # e index, b index
-    bracket = _zero_table(dim)
+    bracket = _table(dim)
     _put_bracket(bracket, 1, g)
     _put_pairing(bracket, 1, E, [d.delta], v.gram)
     _put_action(bracket, B0, 1, [d.delta])
@@ -633,7 +625,7 @@ def _involutive_extension_parts(v, a, d, include_action: bool):
     n, m = gv.dim, a.dim
     dim = m + n + m  # A, V, A* blocks
     A0, V0, F0 = 0, m, m + n
-    bracket = _zero_table(dim)
+    bracket = _table(dim)
     _put_bracket(bracket, A0, a)
     _put_action(bracket, A0, F0, _coadjoint(a))
     if include_action:

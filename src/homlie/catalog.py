@@ -48,13 +48,12 @@ def abelian(n: int) -> HomAlgebra:
     n = _size(n)
     if n < 1:
         raise BadParams("dimension must be >= 1")
-    z = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-    return HomAlgebra(n, z, Matrix.identity(n))
+    return HomAlgebra(n, {}, Matrix.identity(n))
 
 
 def heis3() -> HomAlgebra:
     """Heisenberg algebra: [x1,x2] = x3."""
-    return HomAlgebra.from_pairs(3, {(0, 1): [0, 0, 1]}, Matrix.identity(3))
+    return HomAlgebra(3, {(0, 1): [0, 0, 1]}, Matrix.identity(3))
 
 
 def sl2() -> HomAlgebra:
@@ -99,10 +98,10 @@ def sl_n(n: int) -> HomAlgebra:
         raise BadParams("sl_n needs n >= 2")
     basis = _sln_basis(n)
     dim = len(basis)
-    bracket = []
-    for a in basis:
-        row = []
-        for b in basis:
+    bracket = {}
+    for p, a in enumerate(basis):
+        for q in range(p + 1, dim):
+            b = basis[q]
             comm = [
                 [
                     sum((a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n)), _ZERO)
@@ -110,8 +109,7 @@ def sl_n(n: int) -> HomAlgebra:
                 ]
                 for i in range(n)
             ]
-            row.append(_sln_coords(n, comm))
-        bracket.append(row)
+            bracket[(p, q)] = _sln_coords(n, comm)
     return HomAlgebra(dim, bracket, Matrix.identity(dim))
 
 
@@ -159,7 +157,7 @@ def ex_1_2(a, b, c, d) -> HomAlgebra:
         (0, 2): [_ZERO, c, _ZERO],
         (1, 2): [d, _ZERO, 2 * a],
     }
-    return HomAlgebra.from_pairs(3, pairs, Matrix.diagonal([1, 2, 2]))
+    return HomAlgebra(3, pairs, Matrix.diagonal([1, 2, 2]))
 
 
 def jackson_sl2(q) -> HomAlgebra:
@@ -173,7 +171,7 @@ def jackson_sl2(q) -> HomAlgebra:
         (0, 2): [_ZERO, _ZERO, frac(2)],
         (1, 2): [-(1 + q) / 2, _ZERO, _ZERO],
     }
-    return HomAlgebra.from_pairs(3, pairs, Matrix.diagonal([q, q * q, q]))
+    return HomAlgebra(3, pairs, Matrix.diagonal([q, q * q, q]))
 
 
 def sl_n_transpose(n) -> QuadraticHomAlgebra:
@@ -207,7 +205,7 @@ def filiform(n, lam) -> HomAlgebra:
         pairs[(0, i)] = v
     alpha_rows = [list(unit_vec(dim, i)) for i in range(dim)]
     alpha_rows[n][0] = lam
-    return HomAlgebra.from_pairs(dim, pairs, Matrix(alpha_rows))
+    return HomAlgebra(dim, pairs, Matrix(alpha_rows))
 
 
 def two_nilpotent(dim_v, dim_z, *entries) -> HomAlgebra:
@@ -232,7 +230,7 @@ def two_nilpotent(dim_v, dim_z, *entries) -> HomAlgebra:
     for r in range(dim_z):
         for c in range(dim_v):
             alpha_rows[dim_v + r][c] = entries[r * dim_v + c]
-    return HomAlgebra.from_pairs(dim, pairs, Matrix(alpha_rows))
+    return HomAlgebra(dim, pairs, Matrix(alpha_rows))
 
 
 def assoc_a(q) -> AssocAlgebra:
@@ -433,9 +431,10 @@ def extension_delta_space(
     rows = _twist_skew_rows(q, lam)
     rhs = [adx0[i, j] for i in range(n) for j in range(n)] + [_ZERO] * (n * n)
     # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s]
+    ad_a = [ad @ a for ad in g.ad_matrices()]  # ad_a[p][k, s] = [x_p, a x_s]_k
     for r in range(n):
         for s in range(r + 1, n):
-            c_rs = g.bracket[r][s]
+            c_rs = g.basis_bracket(r, s)
             adc = adx0.apply(c_rs)
             for k in range(n):
                 row = [_ZERO] * (n * n)
@@ -443,16 +442,8 @@ def extension_delta_space(
                     if c_rs[m]:
                         row[k * n + m] += lam * c_rs[m]
                 for p in range(n):
-                    coeff = sum(
-                        (a[qq, s] * g.bracket[p][qq][k] for qq in range(n)), _ZERO
-                    )
-                    if coeff:
-                        row[p * n + r] -= coeff
-                    coeff = sum(
-                        (a[qq, r] * g.bracket[qq][p][k] for qq in range(n)), _ZERO
-                    )
-                    if coeff:
-                        row[p * n + s] -= coeff
+                    row[p * n + r] -= ad_a[p][k, s]
+                    row[p * n + s] += ad_a[p][k, r]
                 rows.append(row)
                 rhs.append(-adc[k])
     system = Matrix(rows)
@@ -516,22 +507,17 @@ def involutive_action_space(
     g = v.algebra
     a = v.alpha
     rows = _twist_skew_rows(v, eps)
+    ads = g.ad_matrices()  # ads[p][k, s] = [x_p, x_s]_k
     for r in range(n):
         for s in range(r + 1, n):
-            c_rs = g.bracket[r][s]
+            c_rs = g.basis_bracket(r, s)
             for k in range(n):
                 row = [_ZERO] * (n * n)
                 for p in range(n):
                     for m in range(n):
-                        coeff = a[k, p] * c_rs[m]
-                        if coeff:
-                            row[p * n + m] += coeff
-                        coeff = a[m, r] * g.bracket[p][s][k]
-                        if coeff:
-                            row[p * n + m] -= coeff
-                        coeff = a[m, s] * g.bracket[r][p][k]
-                        if coeff:
-                            row[p * n + m] -= coeff
+                        row[p * n + m] += (
+                            a[k, p] * c_rs[m] - a[m, r] * ads[p][k, s] - a[m, s] * ads[r][k, p]
+                        )
                 rows.append(row)
     return [_unflatten(vv, n) for vv in kernel(Matrix(rows)).vectors()]
 

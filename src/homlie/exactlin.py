@@ -324,17 +324,21 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 class Subspace:
-    """Subspace of Q^n stored as an RREF basis matrix with no zero rows."""
+    """Subspace of Q^n stored as an RREF basis matrix with no zero rows.
 
-    __slots__ = ("ambient_dim", "basis")
+    ``pivots[r]`` is the pivot column of basis row r.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        red, _ = basis.rref()
-        rows = [r for r in red.data if not is_zero_vec(r)]
+        red, pivots = basis.rref()
+        rows = red.data[: len(pivots)]
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("basis vectors must match ambient dimension")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", Matrix(rows) if rows else Matrix.zeros(0, ambient_dim))
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -372,8 +376,7 @@ class Subspace:
         w = list(vec(v))
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        pivots = [next(j for j, x in enumerate(r) if x != 0) for r in self.basis.data]
-        for r, p in zip(self.basis.data, pivots):
+        for r, p in zip(self.basis.data, self.pivots):
             if w[p] != 0:
                 f = w[p]
                 for j in range(p, self.ambient_dim):
@@ -384,13 +387,14 @@ class Subspace:
         return is_zero_vec(self.reduce_vector(v))
 
     def coords_of(self, v: Sequence) -> tuple[Fraction, ...] | None:
-        """Coefficients of v in the basis rows, or None if v is outside."""
-        if self.dim == 0:
-            return () if is_zero_vec(vec(v)) else None
-        sol = solve_linear(self.basis.transpose(), Matrix([[x] for x in vec(v)]))
-        if sol is None:
+        """Coefficients of v in the basis rows, or None if v is outside.
+
+        The basis is in RREF, so the coefficient of row r is v at its pivot.
+        """
+        v = vec(v)
+        if not self.contains_vector(v):
             return None
-        return sol.col(0)
+        return tuple(v[p] for p in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
@@ -25,6 +26,7 @@ from .exactlin import (
     frac,
     is_zero_vec,
     kernel,
+    sub_vec,
     vec,
     zero_vec,
 )
@@ -42,6 +44,13 @@ def _tensor(dim: int, raw) -> Tensor:
     return t
 
 
+def _axpy(out: list, c: Fraction, v: Vector):
+    """out += c * v, skipping the zero entries of v."""
+    for k, vk in enumerate(v):
+        if vk:
+            out[k] += c * vk
+
+
 def _bilinear(t: Tensor, x: Sequence, y: Sequence) -> Vector:
     """Coefficients of the product of x and y under structure tensor t."""
     x, y = vec(x), vec(y)
@@ -53,63 +62,68 @@ def _bilinear(t: Tensor, x: Sequence, y: Sequence) -> Vector:
         for j, yj in enumerate(y):
             if yj == 0:
                 continue
-            c = xi * yj
-            row = t[i][j]
-            for k in range(dim):
-                if row[k]:
-                    out[k] += c * row[k]
+            _axpy(out, xi * yj, t[i][j])
     return tuple(out)
 
 
 class HomAlgebra:
     """Finite-dimensional Hom-algebra with a skew-symmetric bracket.
 
-    ``bracket[i][j]`` holds the coefficient vector of [x_i, x_j] in the basis;
-    skew-symmetry of the full tensor is validated at construction.
+    ``bracket`` maps each basis pair (i, j) with i < j and [x_i, x_j] != 0 to
+    the coefficient vector of [x_i, x_j], keys in lexicographic order; every
+    other bracket of basis vectors follows by skew-symmetry, so the bracket
+    is skew by construction.
     """
 
     __slots__ = ("dim", "bracket", "alpha")
 
     def __init__(self, dim: int, bracket, alpha: Matrix):
-        t = _tensor(dim, bracket)
-        for i in range(dim):
-            for j in range(i, dim):
-                for k in range(dim):
-                    if t[i][j][k] != -t[j][i][k]:
-                        raise ValueError(
-                            f"bracket tensor is not skew-symmetric at {(i, j, k)}"
-                        )
+        pairs = {}
+        for (i, j), v in bracket.items():
+            if not 0 <= i < j < dim:
+                raise IndexOutOfRange(f"bracket entry ({i},{j}) needs 0 <= i < j < dim")
+            w = vec(v)
+            if len(w) != dim:
+                raise DimensionMismatch(f"bracket entry ({i},{j}) needs dim coefficients")
+            if not is_zero_vec(w):
+                pairs[(i, j)] = w
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bracket", t)
+        object.__setattr__(self, "bracket", MappingProxyType(dict(sorted(pairs.items()))))
         object.__setattr__(self, "alpha", alpha)
 
     def __setattr__(self, *_):
         raise AttributeError("HomAlgebra is immutable")
 
-    @classmethod
-    def from_pairs(cls, dim: int, pairs: dict, alpha: Matrix) -> "HomAlgebra":
-        """Build from entries {(i, j): coefficient vector} with i < j only."""
-        table = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), v in pairs.items():
-            if not 0 <= i < j < dim:
-                raise IndexOutOfRange(f"bracket entry ({i},{j}) needs 0 <= i < j < dim")
-            w = vec(v)
-            for k in range(dim):
-                table[i][j][k] = w[k]
-                table[j][i][k] = -w[k]
-        return cls(dim, table, alpha)
-
     # basic algebra ---------------------------------------------------------
+    def basis_bracket(self, i: int, j: int) -> Vector:
+        """Coefficients of [x_i, x_j] for any ordered pair of basis indices."""
+        if i < j:
+            return self.bracket.get((i, j), zero_vec(self.dim))
+        if i > j and (j, i) in self.bracket:
+            return tuple(-c if c else c for c in self.bracket[(j, i)])  # zeros reused
+        return zero_vec(self.dim)
+
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        return _bilinear(self.bracket, x, y)
+        x, y = vec(x), vec(y)
+        out = list(zero_vec(self.dim))
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            for j, yj in ys:
+                if i < j and (i, j) in self.bracket:
+                    _axpy(out, xi * yj, self.bracket[(i, j)])
+                elif i > j and (j, i) in self.bracket:
+                    _axpy(out, -xi * yj, self.bracket[(j, i)])
+        return tuple(out)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of [x_i, .] acting on column vectors."""
         if not 0 <= i < self.dim:
             raise IndexOutOfRange(str(i))
-        return Matrix([[self.bracket[i][j][k] for j in range(self.dim)] for k in range(self.dim)])
+        return Matrix(zip(*(self.basis_bracket(i, j) for j in range(self.dim))))
 
     def ad_matrices(self) -> list[Matrix]:
         return [self.ad(i) for i in range(self.dim)]
@@ -117,26 +131,19 @@ class HomAlgebra:
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""
         x = vec(x)
-        out = [[frac(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j in range(self.dim):
-                row = self.bracket[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k][j] += xi * row[k]
-        return Matrix(out)
+        cols = [list(zero_vec(self.dim)) for _ in range(self.dim)]
+        for (i, j), v in self.bracket.items():
+            if x[i]:
+                _axpy(cols[j], x[i], v)
+            if x[j]:
+                _axpy(cols[i], -x[j], v)
+        return Matrix(zip(*cols))
 
     def alpha_col(self, i: int) -> Vector:
         return self.alpha.col(i)
 
     def is_abelian(self) -> bool:
-        return all(
-            is_zero_vec(self.bracket[i][j])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return not self.bracket
 
     def with_alpha(self, alpha: Matrix) -> "HomAlgebra":
         return HomAlgebra(self.dim, self.bracket, alpha)
@@ -150,7 +157,7 @@ class HomAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.bracket, self.alpha))
+        return hash((self.dim, tuple(self.bracket.items()), self.alpha))
 
     def __repr__(self):
         return f"HomAlgebra(dim={self.dim})"
@@ -161,11 +168,15 @@ def center(g: HomAlgebra) -> Subspace:
     return kernel(Matrix([row for m in g.ad_matrices() for row in m.data]))
 
 
-def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> list[list[Vector]]:
-    """Table of [left(x_i), right(x_j)] over all basis pairs (i, j)."""
+def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:
+    """Brackets [left(x_i), right(x_j)] over the basis pairs i < j."""
     lcols = [left.col(i) for i in range(g.dim)]
     rcols = [right.col(j) for j in range(g.dim)]
-    return [[g.bracket_vec(u, v) for v in rcols] for u in lcols]
+    return {
+        (i, j): g.bracket_vec(lcols[i], rcols[j])
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+    }
 
 
 class AssocAlgebra:
@@ -299,9 +310,9 @@ def jacobiator(g: HomAlgebra, i: int, j: int, k: int) -> Vector:
     for idx in (i, j, k):
         if not 0 <= idx < g.dim:
             raise IndexOutOfRange(str(idx))
-    t1 = g.bracket_vec(g.alpha_col(i), g.bracket[j][k])
-    t2 = g.bracket_vec(g.alpha_col(j), g.bracket[k][i])
-    t3 = g.bracket_vec(g.alpha_col(k), g.bracket[i][j])
+    t1 = g.bracket_vec(g.alpha_col(i), g.basis_bracket(j, k))
+    t2 = g.bracket_vec(g.alpha_col(j), g.basis_bracket(k, i))
+    t3 = g.bracket_vec(g.alpha_col(k), g.basis_bracket(i, j))
     return add_vec(add_vec(t1, t2), t3)
 
 
@@ -326,21 +337,21 @@ def _sparse_apply(srows: _SparseRows, v) -> list[Fraction]:
 def check_hom_lie(g: HomAlgebra) -> HomLieReport:
     """Verify the twisted Jacobi identity on all basis triples.
 
-    Skew-symmetry always passes here: the HomAlgebra constructor rejects a
-    bracket tensor that is not skew.
+    Skew-symmetry always passes here: a HomAlgebra stores only the brackets
+    of pairs i < j, so it is skew by construction.
     """
     n = g.dim
+    pairs = g.bracket
     ad_alpha = [_sparse_rows(g.ad_vec(g.alpha_col(i))) for i in range(n)]
-    nonzero = [[not is_zero_vec(g.bracket[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if not (nonzero[j][k] or nonzero[k][i] or nonzero[i][j]):
+                if (j, k) not in pairs and (i, k) not in pairs and (i, j) not in pairs:
                     continue
-                t1 = _sparse_apply(ad_alpha[i], g.bracket[j][k])
-                t2 = _sparse_apply(ad_alpha[j], g.bracket[k][i])
-                t3 = _sparse_apply(ad_alpha[k], g.bracket[i][j])
-                res = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
+                t1 = _sparse_apply(ad_alpha[i], g.basis_bracket(j, k))
+                t2 = _sparse_apply(ad_alpha[j], g.basis_bracket(i, k))  # -[x_k, x_i]
+                t3 = _sparse_apply(ad_alpha[k], g.basis_bracket(i, j))
+                res = tuple(a - b + c for a, b, c in zip(t1, t2, t3))
                 if not is_zero_vec(res):
                     return HomLieReport(True, False, jacobi_witness=(i, j, k), jacobi_residual=res)
     return HomLieReport(True, True)
@@ -366,7 +377,7 @@ def bracket_mismatch(
             rhs = _sparse_apply(ads[0], qcols[0][j])
             for ad, cols in zip(ads[1:], qcols[1:]):
                 rhs = [a + b for a, b in zip(rhs, _sparse_apply(ad, cols[j]))]
-            if _sparse_apply(left, g.bracket[i][j]) != rhs:
+            if _sparse_apply(left, g.basis_bracket(i, j)) != rhs:
                 return (i, j)
     return None
 
@@ -429,16 +440,13 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     nondeg = ker.is_zero()
     degenerate_witness = None if nondeg else ker.vectors()[0]
     inv_witness = None
+    gram_brackets = {jk: gram.apply(v) for jk, v in g.bracket.items()}  # B(., [y,z])
     for i in range(n):
         lhs = g.ad(i).transpose() @ gram  # (y,z) -> B([x_i,y],z)
-        gram_row = [(m, c) for m, c in enumerate(gram.row(i)) if c]
-        rhs = Matrix(  # (y,z) -> B(x_i,[y,z])
-            [
-                [sum((c * g.bracket[j][k][m] for m, c in gram_row), frac(0)) for k in range(n)]
-                for j in range(n)
-            ]
-        )
-        w = first_mismatch(lhs, rhs)
+        rhs = [[frac(0)] * n for _ in range(n)]  # (y,z) -> B(x_i,[y,z])
+        for (j, k), col in gram_brackets.items():
+            rhs[j][k], rhs[k][j] = col[i], -col[i]
+        w = first_mismatch(lhs, Matrix(rhs))
         if w is not None:
             inv_witness = (i,) + w
             break
@@ -523,27 +531,9 @@ def check_representation(g: HomAlgebra, r: Representation) -> bool:
     rho_alpha = [r.rho_vec(g.alpha_col(i)) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = r.rho_vec(g.bracket[i][j]) @ r.beta
+            lhs = r.rho_vec(g.basis_bracket(i, j)) @ r.beta
             rhs = rho_alpha[i] @ r.rho[j] - rho_alpha[j] @ r.rho[i]
             if lhs != rhs:
-                return False
-    return True
-
-
-def check_coadjoint_condition(g: HomAlgebra) -> bool:
-    """Identity a([[x,y],z]) = [x,[a(y),z]] - [y,[a(x),z]] on basis triples.
-
-    Holds exactly when the dual space with the negated transposed adjoint
-    action and transposed twist is a representation.
-    """
-    ads = g.ad_matrices()
-    ad_alpha = [g.ad_vec(g.alpha_col(i)) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            # both sides are linear in z, compare the operators
-            lhs = g.alpha @ g.ad_vec(g.bracket[i][j])
-            rhs_rows = ads[i] @ ad_alpha[j] - ads[j] @ ad_alpha[i]
-            if lhs != rhs_rows:
                 return False
     return True
 
@@ -567,13 +557,11 @@ def commutator_hom_lie(a: AssocAlgebra) -> HomAlgebra:
     if not check_hom_associative(a):
         raise NotHomAssociative("input fails twisted associativity")
     n = a.dim
-    bracket = [
-        [
-            tuple(a.product[i][j][k] - a.product[j][i][k] for k in range(n))
-            for j in range(n)
-        ]
+    bracket = {
+        (i, j): sub_vec(a.product[i][j], a.product[j][i])
         for i in range(n)
-    ]
+        for j in range(i + 1, n)
+    }
     return HomAlgebra(n, bracket, a.alpha)
 
 

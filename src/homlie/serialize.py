@@ -85,11 +85,9 @@ def algebra_to_dict(
     form: Optional[BilinearForm] = None,
     basis_names: Optional[list[str]] = None,
 ) -> dict:
-    entries = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if any(c != 0 for c in g.bracket[i][j]):
-                entries.append({"i": i, "j": j, "coeffs": _format_vector(g.bracket[i][j])})
+    entries = [
+        {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in g.bracket.items()
+    ]
     out = {"dim": g.dim, "bracket": entries, "alpha": _format_matrix(g.alpha)}
     if form is not None:
         out["form"] = _format_matrix(form.gram)
@@ -143,7 +141,7 @@ def parse_dict(data) -> ParsedFile:
         if (i, j) in pairs:
             raise ParseError(f"duplicate bracket entry ({i},{j})")
         pairs[(i, j)] = coeffs
-    return ParsedFile(HomAlgebra.from_pairs(dim, pairs, alpha), None, form, names)
+    return ParsedFile(HomAlgebra(dim, pairs, alpha), None, form, names)
 
 
 def _is_int(x) -> bool:

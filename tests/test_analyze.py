@@ -374,7 +374,7 @@ def test_simplicity_rational_form_so3():
     # cross-product algebra: simple over the rationals
     from homlie.homalg import HomAlgebra
 
-    so3 = HomAlgebra.from_pairs(
+    so3 = HomAlgebra(
         3,
         {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]},
         Matrix.identity(3),

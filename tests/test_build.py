@@ -318,12 +318,7 @@ def test_omega_extension_two_nilpotent():
     assert check_hom_lie(q.algebra).ok
     # output is 2-step nilpotent: [[g,g],g] = 0
     alg = q.algebra
-    derived = [
-        alg.bracket[i][j]
-        for i in range(alg.dim)
-        for j in range(i + 1, alg.dim)
-    ]
-    for d in derived:
+    for d in alg.bracket.values():
         for k in range(alg.dim):
             unit = [1 if t == k else 0 for t in range(alg.dim)]
             assert alg.bracket_vec(d, unit) == (0,) * alg.dim
@@ -543,7 +538,7 @@ def test_involutive_double_extension_trivial():
     assert q.dim == 4
     assert check_hom_lie(q.algebra).ok
     # psi vanishes identically with phi = 0: no A* component in [V, V]
-    assert q.algebra.bracket[1][2][3] == 0
+    assert q.algebra.basis_bracket(1, 2)[3] == 0
 
 
 def test_involutive_double_extension_skew_guard():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,20 @@ def test_parse_rejects_booleans_as_integers(tmp_path, payload):
     r = run_cli(["check", "bool.json"], tmp_path)
     assert r.returncode == 2, r.stdout
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
+def test_parse_memory_bounded_by_file_size():
+    # the bracket is kept as the file's i < j entries, never as a dim^3 table
+    n = 120
+    payload = {"dim": n, "bracket": [], "alpha": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
+    tracemalloc.start()
+    try:
+        parsed = ser.parse_dict(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.algebra.dim == n and parsed.algebra.is_abelian()
+    assert peak < 4 * 2**20
 
 
 def test_cli_overlong_rational_is_malformed_input(tmp_path):

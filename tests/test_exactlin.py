@@ -107,6 +107,23 @@ def test_dimension_formula(a, b):
     assert u.contains(i) and v.contains(i)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(3, 5), st.lists(fractions_st, min_size=3, max_size=3), st.lists(fractions_st, min_size=5, max_size=5))
+def test_coords_of_agrees_with_solve_linear(a, coeffs, other):
+    w = Subspace.from_vectors(5, a.data)
+    inside = tuple(sum((c * row[k] for c, row in zip(coeffs, a.data)), Fraction(0)) for k in range(5))
+    for v in (inside, tuple(other)):
+        coords = w.coords_of(v)
+        if not w.contains_vector(v):
+            assert coords is None
+            continue
+        if w.dim:
+            assert coords == solve_linear(w.basis.transpose(), Matrix([[x] for x in v])).col(0)
+        combo = [sum((c * row[k] for c, row in zip(coords, w.vectors())), Fraction(0)) for k in range(5)]
+        assert tuple(combo) == v
+    assert w.coords_of(inside) is not None
+
+
 def test_kernel_image_power_invertible():
     n, ker, im = kernel_image_power(Matrix([[2, 1], [1, 1]]))
     assert n == 1

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlie import catalog
-from homlie.build import adjoint_rep, change_basis
-from homlie.errors import IndexOutOfRange, NotHomAssociative
+from homlie.build import adjoint_rep, change_basis, coadjoint_rep
+from homlie.errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
 from homlie.exactlin import Matrix
 from homlie.homalg import (
     AssocAlgebra,
@@ -15,7 +15,6 @@ from homlie.homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
-    check_coadjoint_condition,
     check_hom_associative,
     check_hom_lie,
     check_hom_quadratic,
@@ -32,16 +31,22 @@ fr = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
 
 def test_skew_enforced_at_construction():
-    bad = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
-    with pytest.raises(ValueError):
-        HomAlgebra(2, bad, Matrix.identity(2))
+    # only pairs i < j are stored, so no entry can break skew-symmetry
+    with pytest.raises(IndexOutOfRange):
+        HomAlgebra(2, {(1, 1): [0, 0]}, Matrix.identity(2))
+    with pytest.raises(IndexOutOfRange):
+        HomAlgebra(2, {(1, 0): [0, 0]}, Matrix.identity(2))
 
 
-def test_from_pairs_rejects_bad_indices():
+def test_constructor_rejects_bad_entries():
     with pytest.raises(IndexOutOfRange):
-        HomAlgebra.from_pairs(2, {(1, 1): [0, 0]}, Matrix.identity(2))
-    with pytest.raises(IndexOutOfRange):
-        HomAlgebra.from_pairs(2, {(1, 0): [0, 0]}, Matrix.identity(2))
+        HomAlgebra(2, {(0, 2): [0, 0]}, Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        HomAlgebra(2, {(0, 1): [0, 0, 1]}, Matrix.identity(2))
+    # zero brackets are dropped and the pairs come out in lexicographic order
+    g = HomAlgebra(3, {(1, 2): [1, 0, 0], (0, 1): [0, 0, 0], (0, 2): [0, 1, 0]}, Matrix.identity(3))
+    assert list(g.bracket) == [(0, 2), (1, 2)]
+    assert g.bracket[(1, 2)] == (1, 0, 0)
 
 
 # Example with bracket [x1,x2]=a x1+b x3, [x1,x3]=c x2, [x2,x3]=d x1+2a x3:
@@ -116,7 +121,7 @@ def test_classify_alpha():
 
 def test_involutive_flag_requires_multiplicativity():
     # alpha^2 = id but alpha is not a bracket morphism
-    g = HomAlgebra.from_pairs(2, {(0, 1): [1, 0]}, Matrix([[0, 1], [1, 0]]))
+    g = HomAlgebra(2, {(0, 1): [1, 0]}, Matrix([[0, 1], [1, 0]]))
     assert check_hom_lie(g).ok  # dim 2 has no Jacobi triples
     cls = classify_alpha(g)
     assert g.alpha.power(2).is_identity()
@@ -206,12 +211,12 @@ def test_broken_beta_fails_representation():
 
 def test_coadjoint_condition():
     # classical Lie algebras with identity twist reduce to Jacobi
-    assert check_coadjoint_condition(catalog.sl2())
-    assert check_coadjoint_condition(catalog.heis3())
+    assert coadjoint_rep(catalog.sl2())[1]
+    assert coadjoint_rep(catalog.heis3())[1]
     # quadratic catalog instance
-    assert check_coadjoint_condition(catalog.sl_n_transpose(2).algebra)
+    assert coadjoint_rep(catalog.sl_n_transpose(2).algebra)[1]
     # regression: the Jackson sl2 at q=2 fails the identity
-    assert not check_coadjoint_condition(catalog.jackson_sl2(2))
+    assert not coadjoint_rep(catalog.jackson_sl2(2))[1]
 
 
 def test_hom_associative_and_commutator():
@@ -286,11 +291,14 @@ def test_jacobiator_abelian_vanishes():
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(fr, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_from_pairs_is_always_skew(rows):
+def test_bracket_is_always_skew(rows):
     pairs = {(0, 1): rows[0], (0, 2): rows[1], (1, 2): rows[2]}
-    g = HomAlgebra.from_pairs(3, pairs, Matrix.identity(3))
+    g = HomAlgebra(3, pairs, Matrix.identity(3))
     assert check_hom_lie(g).skew
+    units = Matrix.identity(3).data
+    for (i, j), v in pairs.items():
+        stored = g.bracket.get((i, j), (0, 0, 0))
+        assert stored == tuple(v) == g.bracket_vec(units[i], units[j]) == g.basis_bracket(i, j)
+        assert g.bracket_vec(units[j], units[i]) == tuple(-c for c in stored) == g.basis_bracket(j, i)
     for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert g.bracket[i][j][k] == -g.bracket[j][i][k]
+        assert g.bracket_vec(units[i], units[i]) == (0, 0, 0) == g.basis_bracket(i, i)
