@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .build import ExtensionData1D, double_extension_1d
@@ -31,6 +32,8 @@ from .exactlin import (
     kernel,
     kernel_image_power,
     rational_eigenpairs,
+    solve_rows,
+    sparse_row,
     spin_up,
     sub_vec,
     unit_vec,
@@ -61,21 +64,24 @@ def centroid(g: HomAlgebra) -> Subspace:
     Endomorphisms are flattened row major into Q^(n^2).
     """
     n = g.dim
-    ads = g.ad_matrices()
-    rows = []
-    for i in range(n):
-        adi = ads[i]
-        for r in range(n):
-            for s in range(n):
-                row = [_ZERO] * (n * n)
-                # (theta @ ad_i)[r][s]
-                for m in range(n):
-                    row[r * n + m] += adi[m, s]
-                # minus sum_k theta[k][i] ad_k[r][s]
-                for k in range(n):
-                    row[k * n + i] -= ads[k][r, s]
-                rows.append(row)
-    return kernel(Matrix(rows))
+    ad_cols = {}  # (i, s) -> (m, ad_i[m][s])
+    for i, s, m, c in g.structure_constants():
+        ad_cols.setdefault((i, s), []).append((m, c))
+    ad_rows = g.ad_entries()  # (r, s) -> (k, ad_k[r][s])
+
+    def equations():
+        # (theta @ ad_i)[r][s] - sum_k theta[k][i] ad_k[r][s] = 0
+        for i in range(n):
+            for r in range(n):
+                for s in range(n):
+                    row = sparse_row(chain(
+                        ((r * n + m, c) for m, c in ad_cols.get((i, s), ())),
+                        ((k * n + i, -c) for k, c in ad_rows.get((r, s), ())),
+                    ))
+                    if row:
+                        yield row
+
+    return solve_rows(equations(), n * n)[1]
 
 
 def ideal_closure(g: HomAlgebra, seed: Subspace) -> Subspace:
@@ -262,11 +268,19 @@ def is_solvable(g: HomAlgebra, i: Optional[Subspace] = None) -> bool:
 
 def trace_form(g: HomAlgebra) -> BilinearForm:
     """Trace form B(x, y) = tr(ad(x) ad(y)); the Killing form when alpha = id."""
-    ads = g.ad_matrices()
-    gram = [
-        [(ads[i] @ ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)
-    ]
-    return BilinearForm(g.dim, Matrix(gram))
+    n = g.dim
+    ads = [{} for _ in range(n)]  # ads[i][r, s] = ad_i[r][s], nonzero entries
+    for i, s, r, c in g.structure_constants():
+        ads[i][r, s] = c
+    gram = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            # tr(A B) = sum over r, s of A[r][s] B[s][r]
+            adj = ads[j]
+            gram[i][j] = gram[j][i] = sum(
+                (c * adj[s, r] for (r, s), c in ads[i].items() if (s, r) in adj), _ZERO
+            )
+    return BilinearForm(n, Matrix(gram))
 
 
 def associated_lie_algebra(g: HomAlgebra) -> HomAlgebra:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .build import (
     change_basis,
@@ -21,7 +22,7 @@ from .build import (
     yau_twist,
 )
 from .errors import BadParams, UnknownFixture
-from .exactlin import Matrix, frac, kernel, solve_linear, unit_vec, zero_vec
+from .exactlin import Matrix, frac, solve_rows, sparse_row, unit_vec, zero_vec
 from .homalg import AssocAlgebra, BilinearForm, HomAlgebra, QuadraticHomAlgebra
 
 _ONE = Fraction(1)
@@ -381,27 +382,30 @@ def _nilpotent_block(size: int) -> QuadraticHomAlgebra:
     return QuadraticHomAlgebra(alg, BilinearForm(size, Matrix(gram)))
 
 
-def _twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[list[Fraction]]:
-    """Linear rows in the entries of D (row major): first (a D a - lam D)[i][j],
-    then (D^T gram + gram D)[i][j], for all i, j, with a the twist of q."""
+def _twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[dict[int, Fraction]]:
+    """Sparse linear rows in the entries of D (row major): first
+    (a D a - lam D)[i][j], then (D^T gram + gram D)[i][j], for all i, j, with
+    a the twist of q."""
     n = q.dim
     a, gram = q.alpha, q.gram
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                for s in range(n):
-                    row[r * n + s] += a[i, r] * a[s, j]
-            row[i * n + j] -= lam
-            rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            row = [_ZERO] * (n * n)
-            for r in range(n):
-                row[r * n + i] += gram[r, j]
-                row[r * n + j] += gram[i, r]
-            rows.append(row)
+    a_rows = [[(r, x) for r, x in enumerate(a.row(i)) if x] for i in range(n)]
+    a_cols = [[(s, x) for s, x in enumerate(a.col(j)) if x] for j in range(n)]
+    rows = [
+        sparse_row(chain(
+            ((r * n + s, x * y) for r, x in a_rows[i] for s, y in a_cols[j]),
+            [(i * n + j, -lam)],
+        ))
+        for i in range(n)
+        for j in range(n)
+    ]
+    rows += [
+        sparse_row(chain(
+            ((r * n + i, gram[r, j]) for r in range(n)),
+            ((r * n + j, gram[i, r]) for r in range(n)),
+        ))
+        for i in range(n)
+        for j in range(n)
+    ]
     return rows
 
 
@@ -429,30 +433,28 @@ def extension_delta_space(
     adx0 = g.ad_vec(x0)
     # (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]; delta skew for the form
     rows = _twist_skew_rows(q, lam)
-    rhs = [adx0[i, j] for i in range(n) for j in range(n)] + [_ZERO] * (n * n)
-    # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s]
-    ad_a = [ad @ a for ad in g.ad_matrices()]  # ad_a[p][k, s] = [x_p, a x_s]_k
+    for row, rhs in zip(rows, (x for r in adx0.data for x in r)):
+        if rhs:
+            row[n * n] = rhs
+    # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s];
+    # the x_k coefficient of [x_p, a x_s] is sum over t of a[t][s] [x_p, x_t]_k
+    a_cols = [[(t, x) for t, x in enumerate(a.col(j)) if x] for j in range(n)]
+    ad = g.ad_entries()  # (k, t) -> (p, [x_p, x_t]_k)
     for r in range(n):
         for s in range(r + 1, n):
             c_rs = g.basis_bracket(r, s)
             adc = adx0.apply(c_rs)
             for k in range(n):
-                row = [_ZERO] * (n * n)
-                for m in range(n):
-                    if c_rs[m]:
-                        row[k * n + m] += lam * c_rs[m]
-                for p in range(n):
-                    row[p * n + r] -= ad_a[p][k, s]
-                    row[p * n + s] += ad_a[p][k, r]
-                rows.append(row)
-                rhs.append(-adc[k])
-    system = Matrix(rows)
-    particular = solve_linear(system, Matrix([[v] for v in rhs]))
+                rows.append(sparse_row(chain(
+                    ((k * n + m, lam * c) for m, c in enumerate(c_rs) if c),
+                    ((p * n + r, -x * c) for t, x in a_cols[s] for p, c in ad.get((k, t), ())),
+                    ((p * n + s, x * c) for t, x in a_cols[r] for p, c in ad.get((k, t), ())),
+                    [(n * n, -adc[k])],
+                )))
+    particular, homogeneous = solve_rows(rows, n * n)
     if particular is None:
         return None, []
-    return _unflatten(particular.col(0), n), [
-        _unflatten(v, n) for v in kernel(system).vectors()
-    ]
+    return _unflatten(particular, n), [_unflatten(v, n) for v in homogeneous.vectors()]
 
 
 def random_extension_data(
@@ -507,19 +509,20 @@ def involutive_action_space(
     g = v.algebra
     a = v.alpha
     rows = _twist_skew_rows(v, eps)
-    ads = g.ad_matrices()  # ads[p][k, s] = [x_p, x_s]_k
+    a_rows = [[(p, x) for p, x in enumerate(a.row(k)) if x] for k in range(n)]
+    a_cols = [[(m, x) for m, x in enumerate(a.col(j)) if x] for j in range(n)]
+    ad = g.ad_entries()  # (k, s) -> (p, [x_p, x_s]_k)
     for r in range(n):
         for s in range(r + 1, n):
-            c_rs = g.basis_bracket(r, s)
+            c_rs = [(m, c) for m, c in enumerate(g.basis_bracket(r, s)) if c]
             for k in range(n):
-                row = [_ZERO] * (n * n)
-                for p in range(n):
-                    for m in range(n):
-                        row[p * n + m] += (
-                            a[k, p] * c_rs[m] - a[m, r] * ads[p][k, s] - a[m, s] * ads[r][k, p]
-                        )
-                rows.append(row)
-    return [_unflatten(vv, n) for vv in kernel(Matrix(rows)).vectors()]
+                # a[k,p] c_rs[m] - a[m,r] [x_p, x_s]_k - a[m,s] [x_r, x_p]_k at D[p][m]
+                rows.append(sparse_row(chain(
+                    ((p * n + m, x * c) for p, x in a_rows[k] for m, c in c_rs),
+                    ((p * n + m, -x * c) for m, x in a_cols[r] for p, c in ad.get((k, s), ())),
+                    ((p * n + m, x * c) for m, x in a_cols[s] for p, c in ad.get((k, r), ())),
+                )))
+    return [_unflatten(vv, n) for vv in solve_rows(rows, n * n)[1].vectors()]
 
 
 def _quadratic_blocks(rng: random.Random, dim: int, involutive_only: bool) -> QuadraticHomAlgebra:

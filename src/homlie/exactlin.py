@@ -1,15 +1,17 @@
 """Exact rational linear algebra.
 
-Dense matrices over ``fractions.Fraction`` plus canonical subspaces.
-Subspaces are kept in reduced row-echelon form with no zero rows, so equality
-of subspaces is plain equality of their basis matrices.  Everything here is
-immutable and pure; no floating point anywhere.
+Matrices over ``fractions.Fraction``, canonical subspaces, and one exact
+elimination kernel that works on sparse rows (``{column: nonzero value}``
+dicts).  Subspaces are kept in reduced row-echelon form with no zero rows, so
+equality of subspaces is plain equality of their basis matrices.  Everything
+here except the sparse rows handed to the kernel is immutable; no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 
@@ -235,28 +237,15 @@ class Matrix:
 
     # elimination -----------------------------------------------------------
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row-echelon form and its pivot columns."""
-        rows = [list(r) for r in self.data]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                rows[r] = [x / pv for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix(rows, cols=nc), tuple(pivots)
+        """Reduced row-echelon form and its pivot columns.
+
+        The result has the shape of self: the canonical basis of the row
+        space first, then zero rows.
+        """
+        reduced, pivots = _reduce(_sparse_rows(self.data))
+        rows = [_dense(r, self.cols) for r in reduced]
+        rows += [zero_vec(self.cols)] * (self.rows - len(rows))
+        return Matrix(rows, cols=self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -305,6 +294,100 @@ def first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     return None
 
 
+def _sparse_rows(data: Iterable[Sequence[Fraction]]) -> Iterator[dict[int, Fraction]]:
+    return ({c: x for c, x in enumerate(r) if x} for r in data)
+
+
+def sparse_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """Sum (column, value) terms into a sparse row with no zero entries."""
+    row: dict[int, Fraction] = {}
+    for c, x in terms:
+        row[c] = row.get(c, _ZERO) + x
+    return {c: x for c, x in row.items() if x}
+
+
+def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    out = [_ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _eliminate(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for c, x in prow.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+
+def _reduce(
+    rows: Iterable[dict[int, Fraction]],
+) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """Canonical RREF of the span of sparse rows, which it consumes.
+
+    Each row in turn is reduced on its first nonzero column against the
+    pivot rows found so far, until it vanishes or starts at a new pivot
+    column.  Back-substitution, last pivot first, then clears every pivot
+    column from the other rows.  Returns the nonzero rows in pivot order,
+    each with a leading 1, and their pivot columns.  RREF is unique, so the
+    result does not depend on the order of the rows.
+    """
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = echelon.get(c)
+            if prow is None:
+                pv = row[c]
+                echelon[c] = row if pv == 1 else {j: x / pv for j, x in row.items()}
+                break
+            _eliminate(row, row[c], prow)
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        row = echelon[p]
+        for c in [c for c in row if c != p and c in echelon]:
+            _eliminate(row, row[c], echelon[c])
+    return [echelon[p] for p in pivots], tuple(pivots)
+
+
+def solve_rows(
+    rows: Iterable[dict[int, Fraction]], ncols: int
+) -> tuple[tuple[Fraction, ...] | None, "Subspace"]:
+    """Solutions of sparse linear equations, from one reduction.
+
+    Each row maps unknowns 0..ncols-1 to their nonzero coefficients, with
+    the right-hand side, when nonzero, under key ``ncols``.  The rows are
+    consumed.  Returns a particular solution with its free unknowns zero,
+    or None when the system is inconsistent, and the kernel of the
+    coefficient rows: the left block of rref([A | b]) is rref(A).
+    """
+    reduced, pivots = _reduce(rows)
+    particular = None
+    if pivots and pivots[-1] == ncols:
+        reduced, pivots = reduced[:-1], pivots[:-1]
+    else:
+        sol = [_ZERO] * ncols
+        for row, p in zip(reduced, pivots):
+            sol[p] = row.get(ncols, _ZERO)
+        particular = tuple(sol)
+    # each free unknown f gives e_f - sum_p rref[p][f] e_p
+    pivot_set = set(pivots)
+    null = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for f, x in row.items():
+            if f != p and f < ncols:
+                null[f][p] = -x
+    basis, kpivots = _reduce(null.values())
+    return particular, Subspace._canonical(ncols, [_dense(r, ncols) for r in basis], kpivots)
+
+
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """Some exact solution x of a @ x = b, or None when inconsistent.
 
@@ -333,15 +416,26 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         red, pivots = basis.rref()
-        rows = red.data[: len(pivots)]
-        if any(len(r) != ambient_dim for r in rows):
+        if pivots and basis.cols != ambient_dim:
             raise DimensionMismatch("basis vectors must match ambient dimension")
+        self._set(ambient_dim, red.data[: len(pivots)], pivots)
+
+    def _set(self, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", Matrix(rows) if rows else Matrix.zeros(0, ambient_dim))
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _canonical(
+        cls, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]
+    ) -> "Subspace":
+        """The subspace whose RREF basis, without zero rows, is already known."""
+        space = object.__new__(cls)
+        space._set(ambient_dim, rows, pivots)
+        return space
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -352,11 +446,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(0, ambient_dim))
+        return cls._canonical(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        n = ambient_dim
+        return cls._canonical(n, [unit_vec(n, i) for i in range(n)], range(n))
 
     @property
     def dim(self) -> int:
@@ -445,17 +540,7 @@ class Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Right kernel {x : a x = 0} as a subspace of Q^cols."""
-    red, pivots = a.rref()
-    n = a.cols
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
-        basis.append(v)
-    return Subspace.from_vectors(n, basis)
+    return solve_rows(_sparse_rows(a.data), a.cols)[1]
 
 
 def spin_up(generators: Sequence[Matrix], seed: Subspace) -> Subspace:

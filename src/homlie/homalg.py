@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
 from .exactlin import (
@@ -26,6 +26,7 @@ from .exactlin import (
     frac,
     is_zero_vec,
     kernel,
+    solve_rows,
     sub_vec,
     vec,
     zero_vec,
@@ -119,6 +120,24 @@ class HomAlgebra:
                     _axpy(out, -xi * yj, self.bracket[(j, i)])
         return tuple(out)
 
+    def structure_constants(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """Every nonzero (i, j, k, c) with c the x_k coefficient of [x_i, x_j].
+
+        Both orders of each stored pair are given, with opposite signs.
+        """
+        for (i, j), v in self.bracket.items():
+            for k, c in enumerate(v):
+                if c:
+                    yield i, j, k, c
+                    yield j, i, k, -c
+
+    def ad_entries(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """(r, s) -> every (p, c) with c = ad_p[r][s] != 0, the x_r coefficient of [x_p, x_s]."""
+        entries = {}
+        for p, s, r, c in self.structure_constants():
+            entries.setdefault((r, s), []).append((p, c))
+        return entries
+
     def ad(self, i: int) -> Matrix:
         """Matrix of [x_i, .] acting on column vectors."""
         if not 0 <= i < self.dim:
@@ -165,7 +184,10 @@ class HomAlgebra:
 
 def center(g: HomAlgebra) -> Subspace:
     """Center {x : [x, y] = 0 for all y}: kernel of the stacked adjoints."""
-    return kernel(Matrix([row for m in g.ad_matrices() for row in m.data]))
+    rows = {}  # row k of ad_i, as its nonzero entries
+    for i, j, k, c in g.structure_constants():
+        rows.setdefault((i, k), {})[j] = c
+    return solve_rows(rows.values(), g.dim)[1]
 
 
 def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,8 @@ from homlie.homalg import (
     check_quadratic,
 )
 
+from dense_elimination import dense_centroid
+
 F = Fraction
 
 
@@ -82,6 +85,38 @@ def test_centroid_dimensions():
     flat_id = [F(1) if i % 4 == 0 else F(0) for i in range(9)]
     assert sl2_cent.contains_vector(flat_id)
     assert centroid(direct_sum(catalog.sl2(), catalog.abelian(1))).dim == 2
+
+
+CENTROID_CASES = {
+    "sl_n_transpose 3": lambda: catalog.sl_n_transpose(3).algebra,
+    "sl_n_transpose 4": lambda: catalog.sl_n_transpose(4).algebra,
+    "sl_n 3": lambda: catalog.sl_n(3),
+    "filiform 10 2/3": lambda: catalog.filiform(10, F(2, 3)),
+    "lie 1": lambda: catalog.random_instance(1, 6, "lie"),
+    "hom_lie 2": lambda: catalog.random_instance(2, 7, "hom_lie"),
+    "quadratic 3": lambda: catalog.random_instance(3, 6, "quadratic").algebra,
+    "involutive_quadratic 4": lambda: catalog.random_instance(4, 7, "involutive_quadratic").algebra,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTROID_CASES))
+def test_centroid_matches_dense_oracle(case):
+    g = CENTROID_CASES[case]()
+    c = centroid(g)
+    assert (c.basis.data, c.pivots) == dense_centroid(g)
+
+
+def test_centroid_memory_stays_sparse():
+    # the n^3 x n^2 system is streamed as sparse rows, never held as a dense matrix
+    g = catalog.sl_n_transpose(4).algebra
+    tracemalloc.start()
+    try:
+        c = centroid(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.dim == 1
+    assert peak < 8 * 2**20
 
 
 def test_ideal_closure():
@@ -222,6 +257,13 @@ def test_radical_of_swap_double_is_zero():
 
 def test_trace_form_abelian_zero():
     assert trace_form(catalog.abelian(3)).gram.is_zero()
+
+
+@pytest.mark.parametrize("case", ["sl_n 3", "hom_lie 2", "quadratic 3", "filiform 10 2/3"])
+def test_trace_form_is_trace_of_ad_products(case):
+    g = CENTROID_CASES[case]()
+    ads = g.ad_matrices()
+    assert trace_form(g).gram == Matrix([[(x @ y).trace() for y in ads] for x in ads])
 
 
 def test_trace_form_sl2_killing():

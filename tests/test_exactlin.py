@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlie.errors import DimensionMismatch, NotSquare
@@ -13,9 +13,26 @@ from homlie.exactlin import (
     rational_eigenpairs,
     rational_roots,
     solve_linear,
+    solve_rows,
 )
 
+from dense_elimination import dense_kernel, dense_rref
+
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices, often rank-deficient or tall, with zero rows mixed in."""
+    cols = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    rows = list(base)
+    if base:
+        combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=12))
+        rows += [[sum((c * r[j] for c, r in zip(combo, base)), Fraction(0)) for j in range(cols)] for combo in combos]
+    rows += [[Fraction(0)] * cols] * draw(st.integers(0, 2))
+    return Matrix(draw(st.permutations(rows)), cols=cols)
 
 
 def small_matrix(n, m):
@@ -60,6 +77,47 @@ def test_inverse_roundtrip():
     assert inv is not None
     assert a @ inv == Matrix.identity(2)
     assert Matrix([[1, 2], [2, 4]]).inverse() is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example(Matrix.zeros(0, 4))
+@example(Matrix.zeros(3, 0))
+@example(Matrix.zeros(0, 0))
+@example(Matrix.zeros(3, 4))
+def test_kernel_matches_dense_oracle(a):
+    k = kernel(a)
+    assert (k.basis.data, k.pivots) == dense_kernel(a)
+    assert k.ambient_dim == a.cols
+    for v in k.vectors():
+        assert a.apply(v) == (Fraction(0),) * a.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_solve_rows_is_solve_linear_and_kernel(a, data):
+    b = data.draw(st.lists(st.one_of(st.just(Fraction(0)), fractions_st), min_size=a.rows, max_size=a.rows))
+    rows = [{c: x for c, x in enumerate(r) if x} for r in a.data]
+    for row, y in zip(rows, b):
+        if y:
+            row[a.cols] = y
+    particular, ker = solve_rows(rows, a.cols)
+    expected = solve_linear(a, Matrix([[y] for y in b], cols=1))
+    assert particular == (None if expected is None else expected.col(0))
+    assert (ker.basis.data, ker.pivots) == dense_kernel(a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_zero_and_full_subspaces_skip_elimination(n, monkeypatch):
+    reduced_full = Subspace(n, Matrix.identity(n))
+    reduced_zero = Subspace(n, Matrix.zeros(0, n))
+
+    def no_rref(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    for made, reduced in ((Subspace.full(n), reduced_full), (Subspace.zero(n), reduced_zero)):
+        assert made == reduced and made.pivots == reduced.pivots
 
 
 def test_subspace_canonical_equality():
@@ -245,6 +303,25 @@ def test_rref_matches_sympy(a):
         for j in range(4):
             got = ours[i, j]
             assert sympy.Rational(got.numerator, got.denominator) == ref[i, j]
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example(Matrix.zeros(0, 4))
+@example(Matrix.zeros(3, 0))
+@example(Matrix.zeros(0, 0))
+@example(Matrix.zeros(3, 4))
+def test_rref_matches_dense_oracle_and_sympy(a):
+    ours, pivots = a.rref()
+    assert (ours, pivots) == dense_rref(a)
+    assert ours.shape == a.shape
+    ref, ref_pivots = sympy.Matrix(a.rows, a.cols, [_rational(x) for row in a.data for x in row]).rref()
+    assert pivots == tuple(ref_pivots)
+    assert [[_rational(x) for x in row] for row in ours.data] == ref.tolist()
 
 
 @settings(max_examples=15, deadline=None)
