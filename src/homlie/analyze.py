@@ -103,7 +103,7 @@ def orthogonal_ideal(q: QuadraticHomAlgebra, i: Subspace) -> Subspace:
     """
     if not is_ideal(q.algebra, i):
         raise NotAnIdeal("subspace is not closed under the bracket and twist")
-    orth = Subspace.full(q.dim) if i.dim == 0 else kernel(i.basis @ q.gram)
+    orth = orthogonal_subspace(q, i)
     if not is_ideal(q.algebra, orth):
         raise ReconstructionFailed("orthogonal of an ideal failed to be an ideal")
     return orth

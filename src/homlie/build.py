@@ -55,6 +55,7 @@ from .homalg import (
     check_representation,
     is_multiplicative,
     multiplicativity_witness,
+    representation_witness,
 )
 
 _ONE = Fraction(1)
@@ -307,8 +308,9 @@ def coadjoint_rep(g: HomAlgebra) -> tuple[Representation, bool]:
 
 def semidirect_sum(g: HomAlgebra, r: Representation) -> HomAlgebra:
     """Hom-Lie algebra on g + V with bracket [x+u,y+w] = [x,y] + x.w - y.u."""
-    if not check_representation(g, r):
-        raise NotRepresentation("module axiom fails")
+    w = representation_witness(g, r)
+    if w is not None:
+        raise NotRepresentation("module axiom fails", witness=w)
     dim = g.dim + r.module_dim
     bracket = _table(dim)
     _put_bracket(bracket, 0, g)
@@ -592,8 +594,9 @@ def _check_involutive_extension(v, a, d):
     if not arep.ok:
         raise ConditionFailed("NotInvolutive", "extending algebra is not Hom-Lie", witness=arep.jacobi_witness)
     rep = Representation(m, n, d.phi, gv.alpha)
-    if not check_representation(a, rep):
-        raise NotRepresentation("phi is not a module action with twist alpha_V")
+    w = representation_witness(a, rep)
+    if w is not None:
+        raise NotRepresentation("phi is not a module action with twist alpha_V", witness=w)
     av, gram = gv.alpha, v.gram
     ident = Matrix.identity(n)
     for r, p in enumerate(d.phi):

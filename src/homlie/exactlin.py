@@ -11,7 +11,7 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 
@@ -242,8 +242,8 @@ class Matrix:
         The result has the shape of self: the canonical basis of the row
         space first, then zero rows.
         """
-        reduced, pivots = _reduce(_sparse_rows(self.data))
-        rows = [_dense(r, self.cols) for r in reduced]
+        reduced, pivots = _reduce(sparse_rows(self.data))
+        rows = [dense_row(r, self.cols) for r in reduced]
         rows += [zero_vec(self.cols)] * (self.rows - len(rows))
         return Matrix(rows, cols=self.cols), pivots
 
@@ -294,8 +294,9 @@ def first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     return None
 
 
-def _sparse_rows(data: Iterable[Sequence[Fraction]]) -> Iterator[dict[int, Fraction]]:
-    return ({c: x for c, x in enumerate(r) if x} for r in data)
+def sparse_rows(data: Iterable[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    """Dense rows as sparse rows; ``sparse_rows(zip(*m.data))`` gives m's columns."""
+    return [{c: x for c, x in enumerate(r) if x} for r in data]
 
 
 def sparse_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
@@ -306,7 +307,21 @@ def sparse_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
     return {c: x for c, x in row.items() if x}
 
 
-def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+def combine_rows(terms: Iterable[tuple[Fraction, dict[int, Fraction]]]) -> dict[int, Fraction]:
+    """Sum of c * row over the (c, row) terms, as a sparse row with no zero entries.
+
+    With the terms (v[k], cols[k]) over the nonzero entries of v, this is m v
+    for the matrix m whose sparse columns are cols.
+    """
+    out: dict[int, Fraction] = {}
+    for c, row in terms:
+        for j, x in row.items():
+            out[j] = out.get(j, _ZERO) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+def dense_row(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    """The length-n vector of a sparse row."""
     out = [_ZERO] * n
     for c, x in row.items():
         out[c] = x
@@ -385,7 +400,7 @@ def solve_rows(
             if f != p and f < ncols:
                 null[f][p] = -x
     basis, kpivots = _reduce(null.values())
-    return particular, Subspace._canonical(ncols, [_dense(r, ncols) for r in basis], kpivots)
+    return particular, Subspace._canonical(ncols, [dense_row(r, ncols) for r in basis], kpivots)
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -415,9 +430,10 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        red, pivots = basis.rref()
-        if pivots and basis.cols != ambient_dim:
+        # a basis with no rows may come without a width, as Matrix([]) does
+        if basis.rows and basis.cols != ambient_dim:
             raise DimensionMismatch("basis vectors must match ambient dimension")
+        red, pivots = basis.rref()
         self._set(ambient_dim, red.data[: len(pivots)], pivots)
 
     def _set(self, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]):
@@ -540,7 +556,7 @@ class Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Right kernel {x : a x = 0} as a subspace of Q^cols."""
-    return solve_rows(_sparse_rows(a.data), a.cols)[1]
+    return solve_rows(sparse_rows(a.data), a.cols)[1]
 
 
 def spin_up(generators: Sequence[Matrix], seed: Subspace) -> Subspace:

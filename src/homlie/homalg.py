@@ -14,19 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
 from .exactlin import (
     Matrix,
     Subspace,
-    add_vec,
+    combine_rows,
+    dense_row,
     first_mismatch,
     frac,
-    is_zero_vec,
     kernel,
     solve_rows,
+    sparse_rows,
     sub_vec,
     vec,
     zero_vec,
@@ -34,6 +36,9 @@ from .exactlin import (
 
 Vector = tuple[Fraction, ...]
 Tensor = tuple[tuple[Vector, ...], ...]
+SparseRow = dict[int, Fraction]
+_ONE = Fraction(1)
+_EMPTY: SparseRow = {}  # shared, never written
 
 
 def _tensor(dim: int, raw) -> Tensor:
@@ -67,37 +72,83 @@ def _bilinear(t: Tensor, x: Sequence, y: Sequence) -> Vector:
     return tuple(out)
 
 
+def _bracket_terms(
+    g: HomAlgebra, x: Iterable[tuple[int, Fraction]], y: Sequence[tuple[int, Fraction]]
+) -> list[tuple[Fraction, SparseRow]]:
+    """(c, [x_p, x_q]) terms that ``combine_rows`` sums to [x, y].
+
+    x and y are given by their nonzero (index, coefficient) pairs.
+    """
+    rows = g._rows
+    terms = []
+    for p, a in x:
+        for q, b in y:
+            if p < q:
+                row = rows.get((p, q))
+                if row:
+                    terms.append((a * b, row))
+            elif q < p:
+                row = rows.get((q, p))
+                if row:
+                    terms.append((-a * b, row))
+    return terms
+
+
+def _ad_cols(g: HomAlgebra, x: Iterable[tuple[int, Fraction]]) -> list[SparseRow]:
+    """Columns [x, x_q] of ad(x) as sparse rows, for x given by its nonzero entries."""
+    x = list(x)
+    return [combine_rows(_bracket_terms(g, x, ((q, _ONE),))) for q in range(g.dim)]
+
+
+def _skew(table: dict[tuple[int, int], SparseRow], p: int, q: int) -> SparseRow:
+    """Row (p, q) of a table kept over the pairs p < q and skew in (p, q)."""
+    if p < q:
+        return table.get((p, q), _EMPTY)
+    return {k: -x for k, x in table.get((q, p), _EMPTY).items()}
+
+
 class HomAlgebra:
     """Finite-dimensional Hom-algebra with a skew-symmetric bracket.
 
     ``bracket`` maps each basis pair (i, j) with i < j and [x_i, x_j] != 0 to
     the coefficient vector of [x_i, x_j], keys in lexicographic order; every
     other bracket of basis vectors follows by skew-symmetry, so the bracket
-    is skew by construction.
+    is skew by construction.  The same brackets are also kept as sparse rows,
+    from which every bracket is evaluated.
     """
 
-    __slots__ = ("dim", "bracket", "alpha")
+    __slots__ = ("dim", "bracket", "alpha", "_rows")
 
     def __init__(self, dim: int, bracket, alpha: Matrix):
-        pairs = {}
+        pairs, rows = {}, {}
         for (i, j), v in bracket.items():
             if not 0 <= i < j < dim:
                 raise IndexOutOfRange(f"bracket entry ({i},{j}) needs 0 <= i < j < dim")
             w = vec(v)
             if len(w) != dim:
                 raise DimensionMismatch(f"bracket entry ({i},{j}) needs dim coefficients")
-            if not is_zero_vec(w):
-                pairs[(i, j)] = w
+            row = {k: c for k, c in enumerate(w) if c}
+            if row:
+                pairs[(i, j)], rows[(i, j)] = w, row
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
+        keys = sorted(pairs)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bracket", MappingProxyType(dict(sorted(pairs.items()))))
+        object.__setattr__(self, "bracket", MappingProxyType({ij: pairs[ij] for ij in keys}))
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_rows", {ij: rows[ij] for ij in keys})
 
     def __setattr__(self, *_):
         raise AttributeError("HomAlgebra is immutable")
 
     # basic algebra ---------------------------------------------------------
+    def _entries(self, x: Sequence) -> list[tuple[int, Fraction]]:
+        """The nonzero (index, coefficient) pairs of a coefficient vector."""
+        x = vec(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"coefficient vector of length {len(x)} for dim {self.dim}")
+        return [(k, c) for k, c in enumerate(x) if c]
+
     def basis_bracket(self, i: int, j: int) -> Vector:
         """Coefficients of [x_i, x_j] for any ordered pair of basis indices."""
         if i < j:
@@ -107,29 +158,18 @@ class HomAlgebra:
         return zero_vec(self.dim)
 
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = vec(x), vec(y)
-        out = list(zero_vec(self.dim))
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in ys:
-                if i < j and (i, j) in self.bracket:
-                    _axpy(out, xi * yj, self.bracket[(i, j)])
-                elif i > j and (j, i) in self.bracket:
-                    _axpy(out, -xi * yj, self.bracket[(j, i)])
-        return tuple(out)
+        terms = _bracket_terms(self, self._entries(x), self._entries(y))
+        return dense_row(combine_rows(terms), self.dim)
 
     def structure_constants(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """Every nonzero (i, j, k, c) with c the x_k coefficient of [x_i, x_j].
 
         Both orders of each stored pair are given, with opposite signs.
         """
-        for (i, j), v in self.bracket.items():
-            for k, c in enumerate(v):
-                if c:
-                    yield i, j, k, c
-                    yield j, i, k, -c
+        for (i, j), row in self._rows.items():
+            for k, c in row.items():
+                yield i, j, k, c
+                yield j, i, k, -c
 
     def ad_entries(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """(r, s) -> every (p, c) with c = ad_p[r][s] != 0, the x_r coefficient of [x_p, x_s]."""
@@ -149,14 +189,8 @@ class HomAlgebra:
 
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""
-        x = vec(x)
-        cols = [list(zero_vec(self.dim)) for _ in range(self.dim)]
-        for (i, j), v in self.bracket.items():
-            if x[i]:
-                _axpy(cols[j], x[i], v)
-            if x[j]:
-                _axpy(cols[i], -x[j], v)
-        return Matrix(zip(*cols))
+        cols = _ad_cols(self, self._entries(x))
+        return Matrix(zip(*(dense_row(c, self.dim) for c in cols)))
 
     def alpha_col(self, i: int) -> Vector:
         return self.alpha.col(i)
@@ -327,55 +361,55 @@ class QuadraticReport:
         )
 
 
+def _cols(m: Matrix) -> list[SparseRow]:
+    return sparse_rows(zip(*m.data))
+
+
+def _ad_alpha(g: HomAlgebra) -> list[list[SparseRow]]:
+    """Sparse columns of ad(alpha(x_p)) for every p."""
+    return [_ad_cols(g, col.items()) for col in _cols(g.alpha)]
+
+
+def _jacobi(g: HomAlgebra, ad_alpha, i: int, j: int, k: int) -> SparseRow:
+    """[a(x_i),[x_j,x_k]] + [a(x_j),[x_k,x_i]] + [a(x_k),[x_i,x_j]] as a sparse row.
+
+    ``ad_alpha[p]`` holds the sparse columns of ad(alpha(x_p)).
+    """
+    return combine_rows(
+        (c, ad_alpha[a][r])
+        for a, p, q in ((i, j, k), (j, k, i), (k, i, j))
+        for r, c in _skew(g._rows, p, q).items()
+    )
+
+
 def jacobiator(g: HomAlgebra, i: int, j: int, k: int) -> Vector:
     """Coefficients of [a(x_i),[x_j,x_k]] + [a(x_j),[x_k,x_i]] + [a(x_k),[x_i,x_j]]."""
     for idx in (i, j, k):
         if not 0 <= idx < g.dim:
             raise IndexOutOfRange(str(idx))
-    t1 = g.bracket_vec(g.alpha_col(i), g.basis_bracket(j, k))
-    t2 = g.bracket_vec(g.alpha_col(j), g.basis_bracket(k, i))
-    t3 = g.bracket_vec(g.alpha_col(k), g.basis_bracket(i, j))
-    return add_vec(add_vec(t1, t2), t3)
-
-
-_SparseRows = list[tuple[tuple[int, Fraction], ...]]
-
-
-def _sparse_rows(m: Matrix) -> _SparseRows:
-    return [tuple((j, x) for j, x in enumerate(row) if x) for row in m.data]
-
-
-def _sparse_apply(srows: _SparseRows, v) -> list[Fraction]:
-    out = []
-    for row in srows:
-        acc = Fraction(0)
-        for j, c in row:
-            if v[j]:
-                acc += c * v[j]
-        out.append(acc)
-    return out
+    return dense_row(_jacobi(g, _ad_alpha(g), i, j, k), g.dim)
 
 
 def check_hom_lie(g: HomAlgebra) -> HomLieReport:
     """Verify the twisted Jacobi identity on all basis triples.
 
     Skew-symmetry always passes here: a HomAlgebra stores only the brackets
-    of pairs i < j, so it is skew by construction.
+    of pairs i < j, so it is skew by construction.  Triples none of whose
+    pairs has a nonzero bracket are skipped; their Jacobiator is zero.
     """
     n = g.dim
-    pairs = g.bracket
-    ad_alpha = [_sparse_rows(g.ad_vec(g.alpha_col(i))) for i in range(n)]
+    pairs = g._rows
+    ad_alpha = _ad_alpha(g)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 if (j, k) not in pairs and (i, k) not in pairs and (i, j) not in pairs:
                     continue
-                t1 = _sparse_apply(ad_alpha[i], g.basis_bracket(j, k))
-                t2 = _sparse_apply(ad_alpha[j], g.basis_bracket(i, k))  # -[x_k, x_i]
-                t3 = _sparse_apply(ad_alpha[k], g.basis_bracket(i, j))
-                res = tuple(a - b + c for a, b, c in zip(t1, t2, t3))
-                if not is_zero_vec(res):
-                    return HomLieReport(True, False, jacobi_witness=(i, j, k), jacobi_residual=res)
+                res = _jacobi(g, ad_alpha, i, j, k)
+                if res:
+                    return HomLieReport(
+                        True, False, jacobi_witness=(i, j, k), jacobi_residual=dense_row(res, n)
+                    )
     return HomLieReport(True, True)
 
 
@@ -391,15 +425,15 @@ def bracket_mismatch(
     shape = (h.dim, n)
     if lhs.shape != shape or any(m.shape != shape for pair in terms for m in pair):
         raise DimensionMismatch("maps must send g into h")
-    left = _sparse_rows(lhs)
-    qcols = [[q.col(j) for j in range(n)] for _, q in terms]
+    left = _cols(lhs)
+    maps = [(_cols(p), _cols(q)) for p, q in terms]
     for i in range(n - 1):
-        ads = [_sparse_rows(h.ad_vec(p.col(i))) for p, _ in terms]
+        # the sparse columns [P x_i, x_r] of ad(P x_i), with Q's columns
+        ads = [(_ad_cols(h, pc[i].items()), qc) for pc, qc in maps]
         for j in range(i + 1, n):
-            rhs = _sparse_apply(ads[0], qcols[0][j])
-            for ad, cols in zip(ads[1:], qcols[1:]):
-                rhs = [a + b for a, b in zip(rhs, _sparse_apply(ad, cols[j]))]
-            if _sparse_apply(left, g.basis_bracket(i, j)) != rhs:
+            rhs = combine_rows((c, ad[r]) for ad, qc in ads for r, c in qc[j].items())
+            bij = g._rows.get((i, j), _EMPTY)
+            if combine_rows((c, left[k]) for k, c in bij.items()) != rhs:
                 return (i, j)
     return None
 
@@ -446,6 +480,14 @@ def classify_alpha(g: HomAlgebra) -> AlphaClass:
     return AlphaClass(tag, mult, regular, involutive, nilpotent)
 
 
+def _first_row_mismatch(a: Sequence[SparseRow], b: Sequence[SparseRow]) -> Optional[tuple[int, int]]:
+    """First entry (y, z) in row-major order where two lists of sparse rows differ."""
+    for y, (ra, rb) in enumerate(zip(a, b)):
+        if ra != rb:
+            return y, min(z for z in ra.keys() | rb.keys() if ra.get(z) != rb.get(z))
+    return None
+
+
 def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     """Check that b is an invariant scalar product compatible with the twist.
 
@@ -462,13 +504,18 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     nondeg = ker.is_zero()
     degenerate_witness = None if nondeg else ker.vectors()[0]
     inv_witness = None
-    gram_brackets = {jk: gram.apply(v) for jk, v in g.bracket.items()}  # B(., [y,z])
+    grows, gcols = sparse_rows(gram.data), _cols(gram)
+    # B([x_p,x_q], .) and B(., [x_p,x_q]) for the stored pairs p < q
+    left = {pq: combine_rows((c, grows[k]) for k, c in v.items()) for pq, v in g._rows.items()}
+    right = {pq: combine_rows((c, gcols[k]) for k, c in v.items()) for pq, v in g._rows.items()}
     for i in range(n):
-        lhs = g.ad(i).transpose() @ gram  # (y,z) -> B([x_i,y],z)
-        rhs = [[frac(0)] * n for _ in range(n)]  # (y,z) -> B(x_i,[y,z])
-        for (j, k), col in gram_brackets.items():
-            rhs[j][k], rhs[k][j] = col[i], -col[i]
-        w = first_mismatch(lhs, Matrix(rhs))
+        lhs = [_skew(left, i, y) for y in range(n)]  # (y,z) -> B([x_i,x_y],x_z)
+        rhs = [{} for _ in range(n)]  # (y,z) -> B(x_i,[x_y,x_z])
+        for (y, z), v in right.items():
+            c = v.get(i)
+            if c:
+                rhs[y][z], rhs[z][y] = c, -c
+        w = _first_row_mismatch(lhs, rhs)
         if w is not None:
             inv_witness = (i,) + w
             break
@@ -489,10 +536,20 @@ def check_hom_quadratic(g: HomAlgebra, b: BilinearForm, gamma: Matrix) -> bool:
     """Twisted invariance B([x,y],gamma(z)) = -B(gamma(y),[x,z]) on basis triples."""
     if b.dim != g.dim or gamma.shape != (g.dim, g.dim):
         raise DimensionMismatch("incompatible dimensions")
-    gram_gamma = b.gram @ gamma
-    gamma_gram = gamma.transpose() @ b.gram
-    # per x_i: (y,z) -> B([x_i,y],gamma(z)) against (y,z) -> -B(gamma(y),[x_i,z])
-    return all(ad.transpose() @ gram_gamma == -(gamma_gram @ ad) for ad in g.ad_matrices())
+    n = g.dim
+    left = sparse_rows((b.gram @ gamma).data)  # rows of (u,w) -> B(u,gamma(w))
+    right = _cols(gamma.transpose() @ b.gram)  # columns of (u,w) -> B(gamma(u),w)
+    for i in range(n):
+        ad = [_skew(g._rows, i, y) for y in range(n)]  # [x_i, x_y]
+        lhs = [combine_rows((c, left[k]) for k, c in v.items()) for v in ad]
+        rhs = [{} for _ in range(n)]
+        for z, v in enumerate(ad):
+            for y, c in combine_rows((c, right[k]) for k, c in v.items()).items():
+                rhs[y][z] = -c
+        # (y,z) -> B([x_i,x_y],gamma(x_z)) against (y,z) -> -B(gamma(x_y),[x_i,x_z])
+        if lhs != rhs:
+            return False
+    return True
 
 
 class QuadraticHomAlgebra:
@@ -546,22 +603,46 @@ class QuadraticHomAlgebra:
         return f"QuadraticHomAlgebra(dim={self.dim})"
 
 
-def check_representation(g: HomAlgebra, r: Representation) -> bool:
-    """Module axiom rho([x,y]) beta = rho(a(x)) rho(y) - rho(a(y)) rho(x)."""
+def representation_witness(g: HomAlgebra, r: Representation) -> Optional[tuple[int, int]]:
+    """First basis pair i < j where the module axiom fails, or None.
+
+    The axiom is rho([x,y]) beta = rho(a(x)) rho(y) - rho(a(y)) rho(x); both
+    sides are compared one sparse column at a time.
+    """
     if r.algebra_dim != g.dim:
         raise DimensionMismatch("representation is over a different algebra")
-    rho_alpha = [r.rho_vec(g.alpha_col(i)) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = r.rho_vec(g.basis_bracket(i, j)) @ r.beta
-            rhs = rho_alpha[i] @ r.rho[j] - rho_alpha[j] @ r.rho[i]
-            if lhs != rhs:
-                return False
-    return True
+    n, m = g.dim, r.module_dim
+    rho = [_cols(a) for a in r.rho]
+    beta, alpha = _cols(r.beta), _cols(g.alpha)
+    # the columns of rho(x_k) beta and of rho(a(x_k))
+    rho_beta = [
+        [combine_rows((c, cols[t]) for t, c in beta[s].items()) for s in range(m)] for cols in rho
+    ]
+    rho_alpha = [
+        [combine_rows((c, rho[p][s]) for p, c in alpha[k].items()) for s in range(m)]
+        for k in range(n)
+    ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = g._rows.get((i, j), _EMPTY)
+            for s in range(m):
+                lhs = combine_rows((c, rho_beta[k][s]) for k, c in bij.items())
+                rhs = combine_rows(chain(
+                    ((c, rho_alpha[i][t]) for t, c in rho[j][s].items()),
+                    ((-c, rho_alpha[j][t]) for t, c in rho[i][s].items()),
+                ))
+                if lhs != rhs:
+                    return (i, j)
+    return None
 
 
-def check_hom_associative(a: AssocAlgebra) -> bool:
-    """Twisted associativity mu(a(x), mu(y,z)) = mu(mu(x,y), a(z))."""
+def check_representation(g: HomAlgebra, r: Representation) -> bool:
+    """Module axiom rho([x,y]) beta = rho(a(x)) rho(y) - rho(a(y)) rho(x)."""
+    return representation_witness(g, r) is None
+
+
+def hom_associativity_witness(a: AssocAlgebra) -> Optional[tuple[int, int, int]]:
+    """First basis triple where mu(a(x), mu(y,z)) != mu(mu(x,y), a(z)), or None."""
     n = a.dim
     for i in range(n):
         ai = a.alpha.col(i)
@@ -570,14 +651,20 @@ def check_hom_associative(a: AssocAlgebra) -> bool:
                 lhs = a.product_vec(ai, a.product[j][k])
                 rhs = a.product_vec(a.product[i][j], a.alpha.col(k))
                 if lhs != rhs:
-                    return False
-    return True
+                    return (i, j, k)
+    return None
+
+
+def check_hom_associative(a: AssocAlgebra) -> bool:
+    """Twisted associativity mu(a(x), mu(y,z)) = mu(mu(x,y), a(z))."""
+    return hom_associativity_witness(a) is None
 
 
 def commutator_hom_lie(a: AssocAlgebra) -> HomAlgebra:
     """Commutator bracket [x,y] = mu(x,y) - mu(y,x) of a Hom-associative algebra."""
-    if not check_hom_associative(a):
-        raise NotHomAssociative("input fails twisted associativity")
+    w = hom_associativity_witness(a)
+    if w is not None:
+        raise NotHomAssociative("input fails twisted associativity", witness=w)
     n = a.dim
     bracket = {
         (i, j): sub_vec(a.product[i][j], a.product[j][i])

@@ -107,6 +107,18 @@ def test_solve_rows_is_solve_linear_and_kernel(a, data):
     assert (ker.basis.data, ker.pivots) == dense_kernel(a)
 
 
+def test_subspace_rejects_a_basis_of_the_wrong_width():
+    # zero rows of the wrong width used to give the zero subspace of Q^3
+    for make in (lambda: Subspace(3, Matrix.zeros(2, 5)), lambda: Subspace.from_vectors(3, [[0] * 5])):
+        with pytest.raises(DimensionMismatch):
+            make()
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_vectors(3, [[1, 0]])
+    # a basis with no rows carries no width, as a product with no rows has none
+    assert Subspace(3, Matrix([])) == Subspace.zero(3)
+    assert Subspace(3, Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)) == Subspace.zero(3)
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_zero_and_full_subspaces_skip_elimination(n, monkeypatch):
     reduced_full = Subspace(n, Matrix.identity(n))

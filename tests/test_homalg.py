@@ -49,6 +49,18 @@ def test_constructor_rejects_bad_entries():
     assert g.bracket[(1, 2)] == (1, 0, 0)
 
 
+def test_bracket_evaluation_rejects_wrong_lengths():
+    # extra coefficients used to be ignored, and a short vector gave an IndexError
+    g = catalog.sl2()
+    for call in (
+        lambda: g.bracket_vec([1, 0, 0, 5], [0, 1, 0]),
+        lambda: g.bracket_vec([1, 0, 0], [0, 1]),
+        lambda: g.ad_vec([1, 0]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
 # Example with bracket [x1,x2]=a x1+b x3, [x1,x3]=c x2, [x2,x3]=d x1+2a x3:
 # the cyclic Jacobi sum with identity twist is a*c in the x2 slot.
 @settings(max_examples=25, deadline=None)
