@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .build import ExtensionData1D, double_extension_1d
+from .build import ExtensionData1D, change_basis_quadratic, double_extension_1d
 from .errors import (
     CenterTrivial,
     NoIsotropicCentralVector,
@@ -34,6 +34,7 @@ from .exactlin import (
     rational_eigenpairs,
     solve_rows,
     sparse_row,
+    sparse_rows,
     spin_up,
     sub_vec,
     unit_vec,
@@ -501,12 +502,10 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     # normalize the leading coefficient to one
     lead = next(x for x in e if x != 0)
     e = tuple(x / lead for x in e)
-    from .exactlin import solve_linear
-
-    sol = solve_linear(Matrix([(q.gram.apply(e))]), Matrix([[_ONE]]))
-    if sol is None:
+    # b solves the one equation B(e, b) = 1
+    b = solve_rows(sparse_rows([q.gram.apply(e) + (_ONE,)]), q.dim)[0]
+    if b is None:
         raise ReconstructionFailed("form is degenerate against the central vector")
-    b = sol.col(0)
     bb = q.form.value(b, b)
     if bb != 0:
         b = sub_vec(b, tuple(bb / 2 * x for x in e))
@@ -556,8 +555,6 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     data = ExtensionData1D(delta, x0, lam, lam0)
     rebuilt = double_extension_1d(base, data)
     p = Matrix([b] + list(rows) + [e]).transpose()
-    from .build import change_basis_quadratic
-
     transported = change_basis_quadratic(q, p)
     if (
         transported.algebra.bracket != rebuilt.algebra.bracket

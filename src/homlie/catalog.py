@@ -16,6 +16,7 @@ from .build import (
     change_basis_quadratic,
     direct_sum,
     double_extension_1d,
+    double_extension_conditions,
     ExtensionData1D,
     orthogonal_sum,
     quadratic_yau_twist,
@@ -472,8 +473,6 @@ def random_extension_data(
     linear in delta).  With ``involutive`` the scalar lam0 is pinned to the
     involution-compatible value, otherwise it is drawn at random.
     """
-    from .build import ExtensionData1D, double_extension_conditions
-
     n = q.dim
     x0 = tuple(x0) if x0 is not None else zero_vec(n)
     part, hom = extension_delta_space(q, lam, x0)

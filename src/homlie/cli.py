@@ -245,6 +245,9 @@ def _cmd_construct(args) -> int:
         out = bd.yau_twist(g.with_alpha(Matrix.identity(g.dim)), g.alpha)
         _write_algebra(rep, args.out, out)
     elif op == "derived":
+        if args.n < 0:
+            print("error: derived index must be >= 0", file=sys.stderr)
+            return 2
         if parsed.form is not None:
             q = bd.quadratic_derived(QuadraticHomAlgebra(g, parsed.form), args.n)
             _write_algebra(rep, args.out, q.algebra, q.form)

@@ -218,13 +218,6 @@ class Matrix:
     def is_identity(self) -> bool:
         return self.is_square() and self == Matrix.identity(self.rows)
 
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.data == other.data
 
@@ -342,28 +335,40 @@ def _eliminate(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction])
                 del row[c]
 
 
+def _insert_row(
+    echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction]
+) -> dict[int, Fraction] | None:
+    """One elimination step: reduce a sparse row, which it consumes, into an echelon.
+
+    The row is reduced on its first nonzero column against the pivot rows,
+    keyed by pivot column, until it vanishes (None) or starts at a new
+    pivot column, where it is stored with a leading 1 and returned.
+    """
+    while row:
+        c = min(row)
+        prow = echelon.get(c)
+        if prow is None:
+            pv = row[c]
+            echelon[c] = row = row if pv == 1 else {j: x / pv for j, x in row.items()}
+            return row
+        _eliminate(row, row[c], prow)
+    return None
+
+
 def _reduce(
     rows: Iterable[dict[int, Fraction]],
 ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """Canonical RREF of the span of sparse rows, which it consumes.
 
-    Each row in turn is reduced on its first nonzero column against the
-    pivot rows found so far, until it vanishes or starts at a new pivot
-    column.  Back-substitution, last pivot first, then clears every pivot
-    column from the other rows.  Returns the nonzero rows in pivot order,
-    each with a leading 1, and their pivot columns.  RREF is unique, so the
-    result does not depend on the order of the rows.
+    Each row in turn goes through ``_insert_row``.  Back-substitution, last
+    pivot first, then clears every pivot column from the other rows.
+    Returns the nonzero rows in pivot order, each with a leading 1, and
+    their pivot columns.  RREF is unique, so the result does not depend on
+    the order of the rows.
     """
     echelon: dict[int, dict[int, Fraction]] = {}
     for row in rows:
-        while row:
-            c = min(row)
-            prow = echelon.get(c)
-            if prow is None:
-                pv = row[c]
-                echelon[c] = row if pv == 1 else {j: x / pv for j, x in row.items()}
-                break
-            _eliminate(row, row[c], prow)
+        _insert_row(echelon, row)
     pivots = sorted(echelon)
     for p in reversed(pivots):
         row = echelon[p]
@@ -401,24 +406,6 @@ def solve_rows(
                 null[f][p] = -x
     basis, kpivots = _reduce(null.values())
     return particular, Subspace._canonical(ncols, [dense_row(r, ncols) for r in basis], kpivots)
-
-
-def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
-    """Some exact solution x of a @ x = b, or None when inconsistent.
-
-    Free variables are set to zero, which makes the returned solution
-    deterministic.
-    """
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"a has {a.rows} rows, b has {b.rows}")
-    red, pivots = a.hstack(b).rref()
-    if any(p >= a.cols for p in pivots):
-        return None
-    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            sol[c][j] = red.data[r][a.cols + j]
-    return Matrix(sol)
 
 
 class Subspace:
@@ -526,15 +513,15 @@ class Subspace:
         return Subspace.from_vectors(n, inter)
 
     def complement(self) -> "Subspace":
-        """Some subspace w with self + w = ambient and self cap w = 0."""
-        chosen = []
-        current = self
-        for i in range(self.ambient_dim):
-            e = unit_vec(self.ambient_dim, i)
-            if not current.contains_vector(e):
-                chosen.append(e)
-                current = current.sum(Subspace.from_vectors(self.ambient_dim, [e]))
-        return Subspace.from_vectors(self.ambient_dim, chosen)
+        """Some subspace w with self + w = ambient and self cap w = 0.
+
+        w is spanned by each e_i, in turn, that lies outside self plus the
+        e_j chosen before it.
+        """
+        n = self.ambient_dim
+        echelon = dict(zip(self.pivots, sparse_rows(self.basis.data)))
+        chosen = [i for i in range(n) if _insert_row(echelon, {i: _ONE}) is not None]
+        return Subspace._canonical(n, [unit_vec(n, i) for i in chosen], chosen)
 
     def __eq__(self, other) -> bool:
         return (
@@ -562,19 +549,29 @@ def kernel(a: Matrix) -> Subspace:
 def spin_up(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and mapped into itself by every generator.
 
-    Each round applies every generator to every basis vector of the current
-    subspace and re-reduces the union, until a round adds nothing.
+    One echelon grows from the seed's basis.  Every row that joins it is
+    mapped once by each generator, and the images are reduced into it in
+    turn, until no row is left to map (the MeatAxe spin-up, Parker 1984).
     """
-    current = seed
-    while True:
-        new_vectors = list(current.vectors())
-        for v in current.vectors():
-            for m in generators:
-                new_vectors.append(m.apply(v))
-        grown = Subspace.from_vectors(seed.ambient_dim, new_vectors)
-        if grown == current:
-            return current
-        current = grown
+    n = seed.ambient_dim
+    if seed.is_zero():
+        return seed
+    if any(m.shape != (n, n) for m in generators):
+        raise DimensionMismatch(f"spin_up needs {n} x {n} generators")
+    gen_cols = [sparse_rows(zip(*m.data)) for m in generators]
+    echelon = dict(zip(seed.pivots, sparse_rows(seed.basis.data)))
+    todo = list(echelon.values())
+    while todo and len(echelon) < n:
+        row = todo.pop()
+        for cols in gen_cols:
+            image = _insert_row(echelon, combine_rows((x, cols[k]) for k, x in row.items()))
+            if image is not None:
+                todo.append(image)
+    if len(echelon) == n:
+        return Subspace.full(n)
+    # the pivot rows are reduced against each other already, so this only back-substitutes
+    basis, pivots = _reduce(echelon.values())
+    return Subspace._canonical(n, [dense_row(r, n) for r in basis], pivots)
 
 
 def column_space(a: Matrix) -> Subspace:

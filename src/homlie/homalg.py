@@ -151,6 +151,8 @@ class HomAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """Coefficients of [x_i, x_j] for any ordered pair of basis indices."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"({i}, {j})")
         if i < j:
             return self.bracket.get((i, j), zero_vec(self.dim))
         if i > j and (j, i) in self.bracket:
@@ -277,11 +279,11 @@ class BilinearForm:
             raise DimensionMismatch("gram must be dim x dim")
 
     def value(self, x: Sequence, y: Sequence) -> Fraction:
+        x = vec(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"vector of length {len(x)} for a form of dim {self.dim}")
         gx = self.gram.apply(y)
-        return sum((a * b for a, b in zip(vec(x), gx)), frac(0))
-
-    def is_symmetric(self) -> bool:
-        return self.gram.is_symmetric()
+        return sum((a * b for a, b in zip(x, gx)), frac(0))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Dense Gauss-Jordan elimination, kept as the oracle for the sparse kernel.
 
 This is the elimination ``Matrix.rref`` used before ``homlie.exactlin`` moved
-to sparse rows, together with the kernel and the dense centroid system built
-on it.  RREF is unique, so the library must agree with it exactly.
+to sparse rows, together with what was built on it: the kernel, the dense
+centroid system, the dense solver ``solve_linear``, the round-based spin-up
+and the greedy complement.  RREF is unique, so the library must agree with
+it exactly.
 """
 
 from fractions import Fraction
 
-from homlie.exactlin import Matrix
+from homlie.errors import DimensionMismatch
+from homlie.exactlin import Matrix, unit_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,3 +73,54 @@ def dense_centroid(g) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]
                     row[k * n + i] -= ads[k][r, s]
                 rows.append(row)
     return dense_kernel(Matrix(rows, cols=n * n))
+
+
+def dense_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """Some solution x of a @ x = b with its free unknowns zero, or None."""
+    if a.rows != b.rows:
+        raise DimensionMismatch(f"a has {a.rows} rows, b has {b.rows}")
+    red, pivots = dense_rref(a.hstack(b))
+    if any(p >= a.cols for p in pivots):
+        return None
+    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
+    for r, c in enumerate(pivots):
+        for j in range(b.cols):
+            sol[c][j] = red.data[r][a.cols + j]
+    return Matrix(sol)
+
+
+def dense_span(vectors, n: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """RREF basis rows and pivots of the span of vectors in Q^n."""
+    if not vectors:
+        return (), ()
+    red, pivots = dense_rref(Matrix(vectors, cols=n))
+    return red.data[: len(pivots)], pivots
+
+
+def dense_spin_up(generators, seed) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """Closure of a subspace under matrices, in rounds.
+
+    Each round applies every generator to every basis vector and reduces
+    the union, until a round adds nothing.
+    """
+    n = seed.ambient_dim
+    current = dense_span(seed.vectors(), n)
+    while True:
+        vectors = list(current[0]) + [m.apply(v) for v in current[0] for m in generators]
+        grown = dense_span(vectors, n)
+        if grown == current:
+            return current
+        current = grown
+
+
+def dense_complement(space) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """Span of each e_i, in turn, that lies outside space plus the e_j chosen before it."""
+    n = space.ambient_dim
+    current = list(space.vectors())
+    chosen = []
+    for i in range(n):
+        e = unit_vec(n, i)
+        if len(dense_span(current + [e], n)[1]) > len(dense_span(current, n)[1]):
+            chosen.append(e)
+            current.append(e)
+    return dense_span(chosen, n)

@@ -309,6 +309,17 @@ def test_cli_tensor_current_and_derived(tmp_path):
     assert r.returncode == 0
 
 
+def test_cli_derived_rejects_a_negative_index(tmp_path):
+    # a negative index is malformed usage, not a failed check, with a form or without
+    for fixture in (["sl2"], ["sl_n_transpose", "2"]):
+        r = run_cli(["catalog", "emit", *fixture, "--out", "in.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["construct", "derived", "-1", "in.json", "--out", "d.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "error: derived index must be >= 0\n"
+        assert not (tmp_path / "d.json").exists()
+
+
 def test_cli_analyze_simple_and_fitting(tmp_path):
     r = run_cli(["catalog", "emit", "sl_n_transpose", "2", "--out", "tw.json"], tmp_path)
     assert r.returncode == 0, r.stderr

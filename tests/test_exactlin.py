@@ -12,11 +12,12 @@ from homlie.exactlin import (
     kernel_image_power,
     rational_eigenpairs,
     rational_roots,
-    solve_linear,
     solve_rows,
+    sparse_rows,
+    spin_up,
 )
 
-from dense_elimination import dense_kernel, dense_rref
+from dense_elimination import dense_complement, dense_kernel, dense_rref, dense_solve, dense_spin_up
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -41,34 +42,49 @@ def small_matrix(n, m):
     ).map(Matrix)
 
 
+def equations(a: Matrix, b) -> list[dict[int, Fraction]]:
+    """The sparse rows of a @ x = b, with the right-hand side under key a.cols."""
+    rows = sparse_rows(a.data)
+    for row, y in zip(rows, b):
+        if y:
+            row[a.cols] = Fraction(y)
+    return rows
+
+
 def test_solve_identity_returns_rhs():
-    b = Matrix([[1], [2], [3]])
-    assert solve_linear(Matrix.identity(3), b) == b
+    particular, ker = solve_rows(equations(Matrix.identity(3), [1, 2, 3]), 3)
+    assert particular == (1, 2, 3)
+    assert ker.is_zero()
 
 
 def test_solve_inconsistent_returns_none():
-    assert solve_linear(Matrix.zeros(2, 2), Matrix([[1], [0]])) is None
+    particular, ker = solve_rows(equations(Matrix.zeros(2, 2), [1, 0]), 2)
+    assert particular is None
+    assert ker.is_full()
 
 
 def test_solve_hand_elimination():
     a = Matrix([[1, 1], [0, 2]])
-    b = Matrix([[3], [4]])
-    x = solve_linear(a, b)
-    assert x == Matrix([[1], [2]])
-    assert a @ x == b
+    particular, _ = solve_rows(equations(a, [3, 4]), 2)
+    assert particular == (1, 2)
+    assert a.apply(particular) == (3, 4)
 
 
 def test_solve_shape_mismatch():
+    # the dense oracle, which the differential tests below trust, rejects [A | B] of unequal heights
     with pytest.raises(DimensionMismatch):
-        solve_linear(Matrix.identity(2), Matrix([[1], [2], [3]]))
+        dense_solve(Matrix.identity(2), Matrix([[1], [2], [3]]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(3, 3), small_matrix(3, 2))
 def test_solve_exactness(a, b):
-    x = solve_linear(a, b)
-    if x is not None:
-        assert a @ x == b
+    for y in (b.col(j) for j in range(b.cols)):
+        x, _ = solve_rows(equations(a, y), a.cols)
+        if x is not None:
+            assert a.apply(x) == y
+        expected = dense_solve(a, Matrix([[c] for c in y], cols=1))
+        assert x == (None if expected is None else expected.col(0))
 
 
 def test_inverse_roundtrip():
@@ -95,14 +111,10 @@ def test_kernel_matches_dense_oracle(a):
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices(), st.data())
-def test_solve_rows_is_solve_linear_and_kernel(a, data):
+def test_solve_rows_matches_dense_solve_and_kernel(a, data):
     b = data.draw(st.lists(st.one_of(st.just(Fraction(0)), fractions_st), min_size=a.rows, max_size=a.rows))
-    rows = [{c: x for c, x in enumerate(r) if x} for r in a.data]
-    for row, y in zip(rows, b):
-        if y:
-            row[a.cols] = y
-    particular, ker = solve_rows(rows, a.cols)
-    expected = solve_linear(a, Matrix([[y] for y in b], cols=1))
+    particular, ker = solve_rows(equations(a, b), a.cols)
+    expected = dense_solve(a, Matrix([[y] for y in b], cols=1))
     assert particular == (None if expected is None else expected.col(0))
     assert (ker.basis.data, ker.pivots) == dense_kernel(a)
 
@@ -165,6 +177,95 @@ def test_contains_and_complement():
     assert not u.contains(Subspace.full(4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example(Matrix.zeros(0, 4))
+@example(Matrix.zeros(0, 0))
+@example(Matrix.zeros(3, 4))
+@example(Matrix.identity(3))
+def test_complement_matches_greedy_oracle(a):
+    u = Subspace(a.cols, a)
+    w = u.complement()
+    assert (w.basis.data, w.pivots) == dense_complement(u)
+    assert u.sum(w).is_full() and u.intersect(w).is_zero()
+
+
+@st.composite
+def spin_cases(draw):
+    """Mostly-zero square generators, so that proper invariant subspaces are common, and a seed."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    rows = st.lists(entry, min_size=n, max_size=n)
+    gens = draw(st.lists(st.lists(rows, min_size=n, max_size=n).map(lambda d: Matrix(d, cols=n)), max_size=3))
+    seed_entry = st.one_of(st.just(Fraction(0)), fractions_st)
+    seed_rows = st.lists(st.lists(seed_entry, min_size=n, max_size=n), min_size=1, max_size=3)
+    seed = Subspace(n, Matrix(draw(seed_rows), cols=n))
+    return gens, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(spin_cases())
+def test_spin_up_matches_round_based_oracle(case):
+    gens, seed = case
+    s = spin_up(gens, seed)
+    assert (s.basis.data, s.pivots) == dense_spin_up(gens, seed)
+    assert s.contains(seed)
+    assert all(s.contains_vector(m.apply(v)) for m in gens for v in s.vectors())
+
+
+SHIFT = Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])  # e_i -> e_(i-1), e_0 -> 0
+
+
+def _spin_edge_cases():
+    e = [Subspace.from_vectors(4, [row]) for row in Matrix.identity(4).data]
+    return [
+        ([SHIFT], Subspace.zero(4)),  # zero seed
+        ([], e[2]),  # no generators
+        ([SHIFT], Subspace.full(4)),  # full space
+        ([], Subspace.zero(0)),  # dimension 0
+        ([Matrix.zeros(0, 0)], Subspace.zero(0)),
+        ([SHIFT], e[0]),  # invariant already
+        ([SHIFT], e[2]),  # proper closure
+        ([SHIFT], e[3]),  # full closure
+        ([SHIFT, SHIFT.transpose()], e[1]),
+    ]
+
+
+def test_spin_up_edge_cases():
+    for gens, seed in _spin_edge_cases():
+        s = spin_up(gens, seed)
+        assert (s.basis.data, s.pivots) == dense_spin_up(gens, seed)
+    assert spin_up([SHIFT], Subspace.zero(4)) == Subspace.zero(4)
+    assert spin_up([SHIFT], Subspace.from_vectors(4, [[0, 0, 1, 0]])) == Subspace.from_vectors(
+        4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    )
+    assert spin_up([SHIFT], Subspace.from_vectors(4, [[1, 2, 3, 4]])).is_full()
+
+
+def test_spin_up_rejects_a_non_square_generator():
+    seed = Subspace.from_vectors(3, [[1, 0, 0]])
+    for bad in (Matrix.zeros(3, 2), Matrix.zeros(2, 3), Matrix.identity(4)):
+        for closure in (spin_up, dense_spin_up):
+            with pytest.raises(DimensionMismatch):
+                closure([Matrix.identity(3), bad], seed)
+
+
+def test_spin_up_and_complement_skip_subspace_reduction(monkeypatch):
+    cases = _spin_edge_cases()
+    spun = [dense_spin_up(gens, seed) for gens, seed in cases]
+    complements = [dense_complement(seed) for _, seed in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Subspace.__init__ or Matrix.rref called")
+
+    monkeypatch.setattr(Subspace, "__init__", forbidden)
+    monkeypatch.setattr(Matrix, "rref", forbidden)
+    got_spun = [spin_up(gens, seed) for gens, seed in cases]
+    got_complements = [seed.complement() for _, seed in cases]
+    assert [(s.basis.data, s.pivots) for s in got_spun] == spun
+    assert [(s.basis.data, s.pivots) for s in got_complements] == complements
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(2, 4), small_matrix(3, 4))
 def test_dimension_formula(a, b):
@@ -179,7 +280,7 @@ def test_dimension_formula(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(3, 5), st.lists(fractions_st, min_size=3, max_size=3), st.lists(fractions_st, min_size=5, max_size=5))
-def test_coords_of_agrees_with_solve_linear(a, coeffs, other):
+def test_coords_of_agrees_with_dense_solve(a, coeffs, other):
     w = Subspace.from_vectors(5, a.data)
     inside = tuple(sum((c * row[k] for c, row in zip(coeffs, a.data)), Fraction(0)) for k in range(5))
     for v in (inside, tuple(other)):
@@ -188,7 +289,7 @@ def test_coords_of_agrees_with_solve_linear(a, coeffs, other):
             assert coords is None
             continue
         if w.dim:
-            assert coords == solve_linear(w.basis.transpose(), Matrix([[x] for x in v])).col(0)
+            assert coords == dense_solve(w.basis.transpose(), Matrix([[x] for x in v])).col(0)
         combo = [sum((c * row[k] for c, row in zip(coords, w.vectors())), Fraction(0)) for k in range(5)]
         assert tuple(combo) == v
     assert w.coords_of(inside) is not None

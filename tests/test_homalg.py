@@ -61,6 +61,24 @@ def test_bracket_evaluation_rejects_wrong_lengths():
             call()
 
 
+def test_basis_bracket_rejects_indices_out_of_range():
+    # an index outside 0..dim-1 is an error, never a zero bracket
+    g = catalog.sl2()
+    for i, j in ((5, 7), (0, -1), (-1, 0), (3, 0), (0, 3), (3, 3)):
+        with pytest.raises(IndexOutOfRange):
+            g.basis_bracket(i, j)
+    assert g.basis_bracket(2, 2) == (0, 0, 0)
+
+
+def test_form_value_rejects_wrong_lengths():
+    # a long x must not be truncated to the form's dimension
+    form = BilinearForm(2, Matrix.identity(2))
+    for x, y in (([1, 2, 3], [1, 1]), ([1], [1, 1]), ([1, 1], [1, 2, 3])):
+        with pytest.raises(DimensionMismatch):
+            form.value(x, y)
+    assert form.value([1, 2], [3, 4]) == 11
+
+
 # Example with bracket [x1,x2]=a x1+b x3, [x1,x3]=c x2, [x2,x3]=d x1+2a x3:
 # the cyclic Jacobi sum with identity twist is a*c in the x2 slot.
 @settings(max_examples=25, deadline=None)
