@@ -35,7 +35,7 @@ from .exactlin import (
     first_mismatch,
     frac,
     is_zero_vec,
-    kernel,
+    solve_rows,
     unit_vec,
     vec,
     zero_vec,
@@ -55,6 +55,7 @@ from .homalg import (
     check_representation,
     is_multiplicative,
     multiplicativity_witness,
+    product_mismatch,
     representation_witness,
 )
 
@@ -418,15 +419,17 @@ def tensor_current(
         raise NotCommutativeAssociative("A must be commutative associative")
     if theta.shape != (a.dim, a.dim) or theta.inverse() is None:
         raise NotAutomorphism("theta must be invertible on A")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if theta.apply(a.product[i][j]) != a.product_vec(theta.col(i), theta.col(j)):
-                raise NotAutomorphism("theta does not preserve the product", witness=(i, j))
-    # annihilator: x with x . a_j = 0 for all j
+    w = product_mismatch(a, theta)
+    if w is not None:
+        raise NotAutomorphism("theta does not preserve the product", witness=w)
+    # annihilator: x with x . a_j = 0 for all j, one equation per (j, k)
     m = a.dim
-    ann = kernel(
-        Matrix([[a.product[i][j][k] for i in range(m)] for j in range(m) for k in range(m)])
-    )
+    eqs = {}
+    for (i, j), v in a.product.items():
+        for k, c in enumerate(v):
+            if c:
+                eqs.setdefault((j, k), {})[i] = c
+    ann = solve_rows(eqs.values(), m)[1]
     defect = theta @ theta - Matrix.identity(m)
     for j in range(m):
         col = defect.col(j)
@@ -437,13 +440,12 @@ def tensor_current(
     dim = g.dim * m
     # [x_i (x) a_r, x_j (x) a_s] = [x_i, x_j] (x) a_r a_s, on basis index i * m + r
     bracket = {
-        (i * m + r, j * m + s): [c * p for c in cg for p in a.product[r][s]]
+        (i * m + r, j * m + s): [c * p for c in cg for p in ab]
         for (i, j), cg in g.bracket.items()
-        for r in range(m)
-        for s in range(m)
+        for (r, s), ab in a.product.items()
     }
     lie = HomAlgebra(dim, bracket, Matrix.identity(dim))
-    theta_tilde = Matrix.kronecker(Matrix.identity(g.dim), theta)
+    theta_tilde = Matrix.block_diagonal([theta] * g.dim)
     z = center(lie)
     big_defect = theta_tilde @ theta_tilde - Matrix.identity(dim)
     for j in range(dim):

@@ -63,34 +63,40 @@ def sl2() -> HomAlgebra:
     return sl_n(2)
 
 
-def _sln_basis(n: int) -> list[list[list[Fraction]]]:
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = [[_ZERO] * n for _ in range(n)]
-            m[i][j] = _ONE
-            mats.append(m)
-    for k in range(n - 1):
-        m = [[_ZERO] * n for _ in range(n)]
-        m[k][k] = _ONE
-        m[k + 1][k + 1] = -_ONE
-        mats.append(m)
-    return mats
+def _sln_basis(n: int) -> list[dict[tuple[int, int], Fraction]]:
+    """The basis matrices of sl_n as {(row, col): entry}, in the order of ``sl_n``."""
+    mats = [{(i, j): _ONE} for i in range(n) for j in range(n) if i != j]
+    return mats + [{(k, k): _ONE, (k + 1, k + 1): -_ONE} for k in range(n - 1)]
 
 
-def _sln_coords(n: int, m: list[list[Fraction]]) -> list[Fraction]:
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                coords.append(m[i][j])
+def _sln_coords(n: int, m: dict[tuple[int, int], Fraction]) -> list[Fraction]:
+    """Coordinates of a traceless matrix, given by its nonzero entries, in that basis.
+
+    E_ij has coordinate m[i][j]; H_k has m[0][0] + ... + m[k][k].
+    """
+    coords = [_ZERO] * (n * n - 1)
+    diag = [_ZERO] * n
+    for (i, j), x in m.items():
+        if i == j:
+            diag[i] = x
+        else:
+            coords[i * (n - 1) + j - (j > i)] = x
     partial = _ZERO
     for k in range(n - 1):
-        partial += m[k][k]
-        coords.append(partial)
+        partial += diag[k]
+        coords[n * (n - 1) + k] = partial
     return coords
+
+
+def _sln_commutator(a: dict, b: dict) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of ab - ba, for matrices given by their nonzero entries."""
+    return sparse_row(
+        ((i, j), c * x * y)
+        for c, u, v in ((_ONE, a, b), (-_ONE, b, a))
+        for (i, t), x in u.items()
+        for (s, j), y in v.items()
+        if t == s
+    )
 
 
 def sl_n(n: int) -> HomAlgebra:
@@ -103,15 +109,9 @@ def sl_n(n: int) -> HomAlgebra:
     bracket = {}
     for p, a in enumerate(basis):
         for q in range(p + 1, dim):
-            b = basis[q]
-            comm = [
-                [
-                    sum((a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n)), _ZERO)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            bracket[(p, q)] = _sln_coords(n, comm)
+            comm = _sln_commutator(a, basis[q])
+            if comm:
+                bracket[(p, q)] = _sln_coords(n, comm)
     return HomAlgebra(dim, bracket, Matrix.identity(dim))
 
 
@@ -119,31 +119,19 @@ def sl_n_killing(n: int) -> BilinearForm:
     """Killing form of sl_n: K(x, y) = 2n tr(xy)."""
     n = _size(n)
     basis = _sln_basis(n)
-    dim = len(basis)
     gram = [
-        [
-            2
-            * n
-            * sum(
-                (basis[a][i][t] * basis[b][t][i] for i in range(n) for t in range(n)),
-                _ZERO,
-            )
-            for b in range(dim)
-        ]
-        for a in range(dim)
+        [2 * n * sum((x * b.get((t, i), _ZERO) for (i, t), x in a.items()), _ZERO) for b in basis]
+        for a in basis
     ]
-    return BilinearForm(dim, Matrix(gram))
+    return BilinearForm(len(basis), Matrix(gram))
 
 
 def sl_n_neg_transpose(n: int) -> Matrix:
     """The involution x -> -x^T of sl_n, in the standard basis."""
     n = _size(n)
-    basis = _sln_basis(n)
-    cols = []
-    for m in basis:
-        neg_t = [[-m[j][i] for j in range(n)] for i in range(n)]
-        cols.append(_sln_coords(n, neg_t))
-    return Matrix.from_cols(cols)
+    return Matrix.from_cols(
+        [_sln_coords(n, {(j, i): -x for (i, j), x in m.items()}) for m in _sln_basis(n)]
+    )
 
 
 # ---------------------------------------------------------------------------

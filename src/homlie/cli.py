@@ -23,6 +23,7 @@ from . import serialize as ser
 from .errors import HomLieError, PreconditionFailed
 from .exactlin import Matrix
 from .homalg import (
+    AssocAlgebra,
     BilinearForm,
     QuadraticHomAlgebra,
     check_hom_lie,
@@ -321,7 +322,7 @@ def _cmd_catalog(args) -> int:
     names = cat.basis_names(args.name, *params)
     if isinstance(obj, QuadraticHomAlgebra):
         payload = ser.algebra_to_dict(obj.algebra, obj.form, names)
-    elif hasattr(obj, "product"):
+    elif isinstance(obj, AssocAlgebra):
         payload = ser.assoc_to_dict(obj, names)
     else:
         payload = ser.algebra_to_dict(obj, None, names)

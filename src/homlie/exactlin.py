@@ -120,18 +120,6 @@ class Matrix:
             c += b.cols
         return cls(out)
 
-    @classmethod
-    def kronecker(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        out = [[_ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-        for i in range(a.rows):
-            for j in range(a.cols):
-                if a.data[i][j] == 0:
-                    continue
-                for r in range(b.rows):
-                    for s in range(b.cols):
-                        out[i * b.rows + r][j * b.cols + s] = a.data[i][j] * b.data[r][s]
-        return cls(out)
-
     # access ----------------------------------------------------------------
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij

@@ -12,6 +12,7 @@ checks report the first violating index tuple in lexicographic order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -29,47 +30,46 @@ from .exactlin import (
     kernel,
     solve_rows,
     sparse_rows,
-    sub_vec,
     vec,
     zero_vec,
 )
 
 Vector = tuple[Fraction, ...]
-Tensor = tuple[tuple[Vector, ...], ...]
 SparseRow = dict[int, Fraction]
 _ONE = Fraction(1)
 _EMPTY: SparseRow = {}  # shared, never written
 
 
-def _tensor(dim: int, raw) -> Tensor:
-    t = tuple(tuple(vec(v) for v in plane) for plane in raw)
-    if len(t) != dim or any(
-        len(plane) != dim or any(len(v) != dim for v in plane) for plane in t
-    ):
-        raise DimensionMismatch("structure tensor must be dim x dim x dim")
-    return t
+def _table(
+    dim: int, entries: Iterable[tuple[tuple[int, int], Sequence]], what: str, ordered: bool
+) -> tuple[MappingProxyType, dict[tuple[int, int], SparseRow]]:
+    """The nonzero entries of a structure table, as a read-only mapping and as sparse rows.
+
+    ``entries`` are ((i, j), coefficient vector) pairs, with i < j when
+    ``ordered``; both results have their keys in lexicographic order.
+    """
+    pairs, rows = {}, {}
+    for (i, j), v in entries:
+        if not (0 <= i < dim and 0 <= j < dim) or (ordered and i >= j):
+            raise IndexOutOfRange(
+                f"{what} entry ({i},{j}) needs 0 <= {'i < j' if ordered else 'i, j'} < dim"
+            )
+        w = vec(v)
+        if len(w) != dim:
+            raise DimensionMismatch(f"{what} entry ({i},{j}) needs dim coefficients")
+        row = {k: c for k, c in enumerate(w) if c}
+        if row:
+            pairs[(i, j)], rows[(i, j)] = w, row
+    keys = sorted(pairs)
+    return MappingProxyType({ij: pairs[ij] for ij in keys}), {ij: rows[ij] for ij in keys}
 
 
-def _axpy(out: list, c: Fraction, v: Vector):
-    """out += c * v, skipping the zero entries of v."""
-    for k, vk in enumerate(v):
-        if vk:
-            out[k] += c * vk
-
-
-def _bilinear(t: Tensor, x: Sequence, y: Sequence) -> Vector:
-    """Coefficients of the product of x and y under structure tensor t."""
-    x, y = vec(x), vec(y)
-    dim = len(t)
-    out = list(zero_vec(dim))
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            _axpy(out, xi * yj, t[i][j])
-    return tuple(out)
+def _entries(x: Sequence, dim: int) -> list[tuple[int, Fraction]]:
+    """The nonzero (index, coefficient) pairs of a coefficient vector of length dim."""
+    x = vec(x)
+    if len(x) != dim:
+        raise DimensionMismatch(f"coefficient vector of length {len(x)} for dim {dim}")
+    return [(k, c) for k, c in enumerate(x) if c]
 
 
 def _bracket_terms(
@@ -120,35 +120,18 @@ class HomAlgebra:
     __slots__ = ("dim", "bracket", "alpha", "_rows")
 
     def __init__(self, dim: int, bracket, alpha: Matrix):
-        pairs, rows = {}, {}
-        for (i, j), v in bracket.items():
-            if not 0 <= i < j < dim:
-                raise IndexOutOfRange(f"bracket entry ({i},{j}) needs 0 <= i < j < dim")
-            w = vec(v)
-            if len(w) != dim:
-                raise DimensionMismatch(f"bracket entry ({i},{j}) needs dim coefficients")
-            row = {k: c for k, c in enumerate(w) if c}
-            if row:
-                pairs[(i, j)], rows[(i, j)] = w, row
+        pairs, rows = _table(dim, bracket.items(), "bracket", ordered=True)
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
-        keys = sorted(pairs)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bracket", MappingProxyType({ij: pairs[ij] for ij in keys}))
+        object.__setattr__(self, "bracket", pairs)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_rows", {ij: rows[ij] for ij in keys})
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, *_):
         raise AttributeError("HomAlgebra is immutable")
 
     # basic algebra ---------------------------------------------------------
-    def _entries(self, x: Sequence) -> list[tuple[int, Fraction]]:
-        """The nonzero (index, coefficient) pairs of a coefficient vector."""
-        x = vec(x)
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"coefficient vector of length {len(x)} for dim {self.dim}")
-        return [(k, c) for k, c in enumerate(x) if c]
-
     def basis_bracket(self, i: int, j: int) -> Vector:
         """Coefficients of [x_i, x_j] for any ordered pair of basis indices."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -160,7 +143,7 @@ class HomAlgebra:
         return zero_vec(self.dim)
 
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        terms = _bracket_terms(self, self._entries(x), self._entries(y))
+        terms = _bracket_terms(self, _entries(x, self.dim), _entries(y, self.dim))
         return dense_row(combine_rows(terms), self.dim)
 
     def structure_constants(self) -> Iterator[tuple[int, int, int, Fraction]]:
@@ -191,11 +174,8 @@ class HomAlgebra:
 
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""
-        cols = _ad_cols(self, self._entries(x))
+        cols = _ad_cols(self, _entries(x, self.dim))
         return Matrix(zip(*(dense_row(c, self.dim) for c in cols)))
-
-    def alpha_col(self, i: int) -> Vector:
-        return self.alpha.col(i)
 
     def is_abelian(self) -> bool:
         return not self.bracket
@@ -238,30 +218,49 @@ def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int,
 
 
 class AssocAlgebra:
-    """Hom-associative algebra: product tensor without skew symmetry."""
+    """Hom-associative algebra: a bilinear product without skew symmetry.
 
-    __slots__ = ("dim", "product", "alpha")
+    ``product`` maps each basis pair (i, j) with x_i x_j != 0 to the
+    coefficient vector of x_i x_j, keys in lexicographic order.  The
+    constructor takes that mapping or the nested lists ``product[i][j]``.  The
+    same products are also kept as sparse rows, from which every product is
+    evaluated.
+    """
+
+    __slots__ = ("dim", "product", "alpha", "_rows")
 
     def __init__(self, dim: int, product, alpha: Matrix):
-        t = _tensor(dim, product)
+        if isinstance(product, Mapping):
+            entries = product.items()
+        elif len(product) != dim or any(len(plane) != dim for plane in product):
+            raise DimensionMismatch("nested product lists must be dim x dim")
+        else:
+            entries = (((i, j), v) for i, plane in enumerate(product) for j, v in enumerate(plane))
+        pairs, rows = _table(dim, entries, "product", ordered=False)
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "product", t)
+        object.__setattr__(self, "product", pairs)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, *_):
         raise AttributeError("AssocAlgebra is immutable")
 
+    def _mul(self, u: SparseRow, v: SparseRow) -> SparseRow:
+        """The product of two vectors given as sparse rows."""
+        rows = self._rows
+        return combine_rows(
+            (a * b, rows[(p, q)]) for p, a in u.items() for q, b in v.items() if (p, q) in rows
+        )
+
     def product_vec(self, x: Sequence, y: Sequence) -> Vector:
-        return _bilinear(self.product, x, y)
+        u, v = dict(_entries(x, self.dim)), dict(_entries(y, self.dim))
+        return dense_row(self._mul(u, v), self.dim)
 
     def is_commutative(self) -> bool:
-        return all(
-            self.product[i][j] == self.product[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        rows = self._rows
+        return all(rows.get((j, i)) == row for (i, j), row in rows.items())
 
     def __repr__(self):
         return f"AssocAlgebra(dim={self.dim})"
@@ -308,9 +307,8 @@ class Representation:
 
     def rho_vec(self, x: Sequence) -> Matrix:
         out = Matrix.zeros(self.module_dim, self.module_dim)
-        for i, xi in enumerate(vec(x)):
-            if xi != 0:
-                out = out + self.rho[i].scale(xi)
+        for i, xi in _entries(x, self.algebra_dim):
+            out = out + self.rho[i].scale(xi)
         return out
 
 
@@ -646,14 +644,32 @@ def check_representation(g: HomAlgebra, r: Representation) -> bool:
 def hom_associativity_witness(a: AssocAlgebra) -> Optional[tuple[int, int, int]]:
     """First basis triple where mu(a(x), mu(y,z)) != mu(mu(x,y), a(z)), or None."""
     n = a.dim
+    alpha = _cols(a.alpha)
+    units = [{q: _ONE} for q in range(n)]
+    # the sparse columns mu(a(x_i), x_q) and mu(x_p, a(x_k))
+    left = [[a._mul(alpha[i], e) for e in units] for i in range(n)]
+    right = [[a._mul(e, alpha[k]) for e in units] for k in range(n)]
     for i in range(n):
-        ai = a.alpha.col(i)
         for j in range(n):
+            pij = a._rows.get((i, j), _EMPTY)
             for k in range(n):
-                lhs = a.product_vec(ai, a.product[j][k])
-                rhs = a.product_vec(a.product[i][j], a.alpha.col(k))
+                lhs = combine_rows((c, left[i][q]) for q, c in a._rows.get((j, k), _EMPTY).items())
+                rhs = combine_rows((c, right[k][p]) for p, c in pij.items())
                 if lhs != rhs:
                     return (i, j, k)
+    return None
+
+
+def product_mismatch(a: AssocAlgebra, f: Matrix) -> Optional[tuple[int, int]]:
+    """First basis pair (i, j) in row-major order where f(x_i x_j) != f(x_i) f(x_j), or None."""
+    if f.shape != (a.dim, a.dim):
+        raise DimensionMismatch("f must be dim x dim")
+    cols = _cols(f)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            image = combine_rows((c, cols[k]) for k, c in a._rows.get((i, j), _EMPTY).items())
+            if image != a._mul(cols[i], cols[j]):
+                return (i, j)
     return None
 
 
@@ -667,13 +683,16 @@ def commutator_hom_lie(a: AssocAlgebra) -> HomAlgebra:
     w = hom_associativity_witness(a)
     if w is not None:
         raise NotHomAssociative("input fails twisted associativity", witness=w)
-    n = a.dim
+    rows = a._rows
+    pairs = {(min(i, j), max(i, j)) for i, j in rows if i != j}
     bracket = {
-        (i, j): sub_vec(a.product[i][j], a.product[j][i])
-        for i in range(n)
-        for j in range(i + 1, n)
+        (i, j): dense_row(
+            combine_rows(((_ONE, rows.get((i, j), _EMPTY)), (-_ONE, rows.get((j, i), _EMPTY)))),
+            a.dim,
+        )
+        for i, j in pairs
     }
-    return HomAlgebra(n, bracket, a.alpha)
+    return HomAlgebra(a.dim, bracket, a.alpha)
 
 
 def check_morphism(g: HomAlgebra, h: HomAlgebra, f: Matrix) -> bool:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .build import ExtensionData1D, InvolutiveExtensionData
 from .errors import ParseError
-from .exactlin import Matrix, zero_vec
+from .exactlin import Matrix
 from .homalg import AssocAlgebra, BilinearForm, HomAlgebra
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9][0-9]*)?$")
@@ -97,11 +97,9 @@ def algebra_to_dict(
 
 
 def assoc_to_dict(a: AssocAlgebra, basis_names: Optional[list[str]] = None) -> dict:
-    entries = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if any(c != 0 for c in a.product[i][j]):
-                entries.append({"i": i, "j": j, "coeffs": _format_vector(a.product[i][j])})
+    entries = [
+        {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in a.product.items()
+    ]
     out = {"dim": a.dim, "product": entries, "alpha": _format_matrix(a.alpha)}
     if basis_names is not None:
         out["basis_names"] = list(basis_names)
@@ -125,22 +123,18 @@ def parse_dict(data) -> ParsedFile:
     form = None
     if data.get("form") is not None:
         form = BilinearForm(dim, _parse_matrix(data["form"], dim, dim, "form"))
-    if "product" in data:
-        product = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
-        seen = set()
-        for entry in _entries(data, "product"):
-            i, j, coeffs = _entry_parts(entry, dim, ordered=False)
-            if (i, j) in seen:
-                raise ParseError(f"duplicate product entry ({i},{j})")
-            seen.add((i, j))
-            product[i][j] = list(coeffs)
-        return ParsedFile(None, AssocAlgebra(dim, product, alpha), form, names)
+    assoc = "product" in data
+    if assoc and "bracket" in data:
+        raise ParseError("a file lists either product or bracket entries, not both")
+    key = "product" if assoc else "bracket"
     pairs = {}
-    for entry in _entries(data, "bracket"):
-        i, j, coeffs = _entry_parts(entry, dim, ordered=True)
+    for entry in _entries(data, key):
+        i, j, coeffs = _entry_parts(entry, dim, ordered=not assoc)
         if (i, j) in pairs:
-            raise ParseError(f"duplicate bracket entry ({i},{j})")
+            raise ParseError(f"duplicate {key} entry ({i},{j})")
         pairs[(i, j)] = coeffs
+    if assoc:
+        return ParsedFile(None, AssocAlgebra(dim, pairs, alpha), form, names)
     return ParsedFile(HomAlgebra(dim, pairs, alpha), None, form, names)
 
 

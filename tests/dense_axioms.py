@@ -33,7 +33,7 @@ def dense_ad(g, x) -> Matrix:
 
 def dense_jacobiator(g, i, j, k, ad_alpha=None) -> tuple:
     """[a(x_i),[x_j,x_k]] + [a(x_j),[x_k,x_i]] + [a(x_k),[x_i,x_j]] by dense products."""
-    ad = ad_alpha or {p: dense_ad(g, g.alpha_col(p)) for p in (i, j, k)}
+    ad = ad_alpha or {p: dense_ad(g, g.alpha.col(p)) for p in (i, j, k)}
     t1 = ad[i].apply(g.basis_bracket(j, k))
     t2 = ad[j].apply(g.basis_bracket(k, i))
     t3 = ad[k].apply(g.basis_bracket(i, j))
@@ -42,7 +42,7 @@ def dense_jacobiator(g, i, j, k, ad_alpha=None) -> tuple:
 
 def dense_check_hom_lie(g) -> HomLieReport:
     n = g.dim
-    ad_alpha = [dense_ad(g, g.alpha_col(i)) for i in range(n)]
+    ad_alpha = [dense_ad(g, g.alpha.col(i)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -102,7 +102,7 @@ def dense_check_hom_quadratic(g, b, gamma) -> bool:
 
 
 def dense_representation_witness(g, r):
-    rho_alpha = [r.rho_vec(g.alpha_col(i)) for i in range(g.dim)]
+    rho_alpha = [r.rho_vec(g.alpha.col(i)) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = r.rho_vec(g.basis_bracket(i, j)) @ r.beta
@@ -114,7 +114,8 @@ def dense_representation_witness(g, r):
 
 def dense_hom_associativity_witness(a):
     n = a.dim
-    mu = [[Matrix([a.product[p][q]]).transpose() for q in range(n)] for p in range(n)]
+    table = [[a.product.get((p, q), (_ZERO,) * n) for q in range(n)] for p in range(n)]
+    mu = [[Matrix([table[p][q]]).transpose() for q in range(n)] for p in range(n)]
 
     def product(u, v):
         out = Matrix.zeros(n, 1)
@@ -127,8 +128,8 @@ def dense_hom_associativity_witness(a):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = product(a.alpha.col(i), a.product[j][k])
-                rhs = product(a.product[i][j], a.alpha.col(k))
+                lhs = product(a.alpha.col(i), table[j][k])
+                rhs = product(table[i][j], a.alpha.col(k))
                 if lhs != rhs:
                     return (i, j, k)
     return None

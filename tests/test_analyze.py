@@ -48,6 +48,7 @@ from homlie.homalg import (
 )
 
 from dense_elimination import dense_centroid
+from dense_structures import dense_sln_basis, dense_sln_coords
 
 F = Fraction
 
@@ -317,7 +318,7 @@ def test_simplicity_twist_of_simple_is_simple():
     rng = random.Random(4)
     p = _rand_unimodular(rng, 2)
     conj_cols = []
-    basis = catalog._sln_basis(2)
+    basis = dense_sln_basis(2)
     pinv = p.inverse()
     for m in basis:
         moved = [
@@ -327,7 +328,7 @@ def test_simplicity_twist_of_simple_is_simple():
             ]
             for i in range(2)
         ]
-        conj_cols.append(catalog._sln_coords(2, moved))
+        conj_cols.append(dense_sln_coords(2, moved))
     conj = Matrix.from_cols(conj_cols)
     assert simplicity_verdict(yau_twist(g, conj)).tag == "Simple"
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie import catalog
 from homlie.build import (
@@ -36,6 +38,7 @@ from homlie.errors import (
     CenterConditionFailed,
     ConditionFailed,
     InvolutiveDataInvalid,
+    NotAutomorphism,
     NotEndomorphism,
     NotInCentroid,
     NotLie,
@@ -44,6 +47,7 @@ from homlie.errors import (
 )
 from homlie.exactlin import Matrix
 from homlie.homalg import (
+    AssocAlgebra,
     BilinearForm,
     QuadraticHomAlgebra,
     Representation,
@@ -54,6 +58,8 @@ from homlie.homalg import (
     classify_alpha,
     is_lie_algebra,
 )
+
+from dense_structures import dense_tensor_current
 
 F = Fraction
 
@@ -360,11 +366,37 @@ def test_tensor_current_identity_theta():
 
 
 def test_tensor_current_one_dim_zero_product():
-    from homlie.homalg import AssocAlgebra
-
     zero = AssocAlgebra(1, [[[0]]], Matrix.identity(1))
     lie, _ = tensor_current(catalog.sl2(), zero, Matrix.identity(1))
     assert lie.is_abelian()
+
+
+def truncated_polynomials(m, q):
+    """t K[t]/(t^(m+1)) on t..t^m, with the automorphism t -> t + q t^m."""
+    prod = {(i, j): [F(int(k == i + j + 1)) for k in range(m)] for i in range(m) for j in range(m)}
+    rows = [[F(int(i == j)) for j in range(m)] for i in range(m)]
+    rows[m - 1][0] = q
+    return AssocAlgebra(m, prod, Matrix(rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool), m=st.integers(1, 5))
+def test_tensor_current_matches_dense_kronecker_oracle(q, m):
+    for g in (catalog.sl2(), catalog.heis3()):
+        for a in (catalog.assoc_a(q), truncated_polynomials(m, q)):
+            for theta in (a.alpha, Matrix.identity(a.dim)):
+                lie, theta_tilde = tensor_current(g, a, theta)
+                bracket, kron = dense_tensor_current(g, a, theta)
+                assert dict(lie.bracket) == bracket
+                assert theta_tilde == kron
+
+
+def test_tensor_current_product_witness():
+    # e -> 2e fixes f = ee, but (2e)(2e) = 4f
+    a = catalog.assoc_a(1)
+    with pytest.raises(NotAutomorphism) as err:
+        tensor_current(catalog.sl2(), a, Matrix.diagonal([2, 1, 1, 1]))
+    assert err.value.witness == (0, 0)
 
 
 def test_tensor_current_annihilator_guard():

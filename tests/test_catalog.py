@@ -15,6 +15,8 @@ from homlie.homalg import (
     is_lie_algebra,
 )
 
+from dense_structures import dense_sl_n_bracket, dense_sl_n_killing, dense_sl_n_neg_transpose
+
 F = Fraction
 
 
@@ -120,7 +122,8 @@ def test_assoc_a_properties():
     theta = a.alpha
     for i in range(4):
         for j in range(4):
-            assert theta.apply(a.product[i][j]) == a.product_vec(theta.col(i), theta.col(j))
+            ai_aj = a.product.get((i, j), (0, 0, 0, 0))
+            assert theta.apply(ai_aj) == a.product_vec(theta.col(i), theta.col(j))
     defect = theta @ theta - Matrix.identity(4)
     assert not defect.is_zero()
     for j in range(4):
@@ -128,6 +131,14 @@ def test_assoc_a_properties():
         for i in range(4):
             unit = [1 if t == i else 0 for t in range(4)]
             assert a.product_vec(v, unit) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sl_n_matches_dense_matrix_oracle(n):
+    # the sparse matrix-unit writer against dense commutators, tr(xy) and -x^T
+    assert dict(catalog.sl_n(n).bracket) == dense_sl_n_bracket(n)
+    assert catalog.sl_n_killing(n).gram == dense_sl_n_killing(n)
+    assert catalog.sl_n_neg_transpose(n) == dense_sl_n_neg_transpose(n)
 
 
 def test_random_instance_determinism():

@@ -131,6 +131,20 @@ def test_parse_memory_bounded_by_file_size():
     assert peak < 4 * 2**20
 
 
+def test_assoc_parse_memory_bounded_by_file_size():
+    # the product is kept as the file's entries, never as a dim^3 table
+    n = 120
+    payload = {"dim": n, "product": [], "alpha": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
+    tracemalloc.start()
+    try:
+        parsed = ser.parse_dict(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.assoc.dim == n and not parsed.assoc.product
+    assert peak < 4 * 2**20
+
+
 def test_cli_overlong_rational_is_malformed_input(tmp_path):
     payload = ser.algebra_to_dict(catalog.abelian(1))
     payload["alpha"] = [["7" * 5000]]
@@ -146,6 +160,21 @@ def test_assoc_roundtrip():
     assert parsed.kind == "assoc"
     assert parsed.assoc.product == a.product
     assert parsed.assoc.alpha == a.alpha
+
+
+def test_cli_rejects_file_with_product_and_bracket(tmp_path):
+    # such a file used to be read as associative, its bracket silently dropped
+    both = ser.assoc_to_dict(catalog.assoc_a(1))
+    both["bracket"] = []
+    with pytest.raises(ParseError):
+        ser.parse_dict(both)
+    (tmp_path / "both.json").write_text(json.dumps(both))
+    r = run_cli(["catalog", "emit", "sl2", "--out", "sl2.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["construct", "tensor-current", "sl2.json", "both.json", "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 # -- CLI golden outputs ---------------------------------------------------------

@@ -286,6 +286,44 @@ def test_hom_associative_and_commutator():
     assert check_hom_lie(gl2).ok and not gl2.is_abelian()
 
 
+def test_assoc_product_is_the_nonzero_entries():
+    # the nested lists and the mapping give one algebra, keyed in lexicographic order
+    nested = [[[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    a = AssocAlgebra(2, nested, Matrix.identity(2))
+    assert list(a.product.items()) == [((0, 1), (1, 0)), ((1, 1), (0, 1))]
+    b = AssocAlgebra(2, {(1, 1): [0, 1], (0, 0): [0, 0], (0, 1): [1, 0]}, Matrix.identity(2))
+    assert b.product == a.product
+    assert AssocAlgebra(2, a.product, Matrix.diagonal([1, 2])).product == a.product
+    with pytest.raises(TypeError):
+        a.product[(0, 0)] = (1, 0)
+    assert not a.is_commutative()
+    assert a.product_vec([1, 1], [1, 1]) == (1, 1)
+    with pytest.raises(IndexOutOfRange):
+        AssocAlgebra(2, {(0, 2): [0, 1]}, Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        AssocAlgebra(2, {(0, 1): [0, 1, 0]}, Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        AssocAlgebra(2, [[[0, 0], [0, 0]]], Matrix.identity(2))
+
+
+def test_product_vec_rejects_wrong_lengths():
+    # a short vector used to be padded with zeros, and a long one raised IndexError
+    a = catalog.assoc_a(1)
+    for x, y in (([1, 0, 0], [1, 0, 0, 0]), ([1, 0, 0, 0], [1, 0, 0, 0, 1])):
+        with pytest.raises(DimensionMismatch):
+            a.product_vec(x, y)
+    assert a.product_vec([1, 0, 0, 0], [0, 1, 0, 0]) == (0, 0, 1, 0)
+
+
+def test_rho_vec_rejects_wrong_lengths():
+    # a short vector used to be padded, extra zeros ignored and extra nonzeros an IndexError
+    rep = adjoint_rep(catalog.sl2())
+    for x in ([1, 1], [1, 1, 0, 0], [1, 1, 0, 1]):
+        with pytest.raises(DimensionMismatch):
+            rep.rho_vec(x)
+    assert rep.rho_vec([1, 0, 0]) == rep.rho[0]
+
+
 def test_check_morphism_identity_and_zero():
     g = catalog.jackson_sl2(2)
     assert check_morphism(g, g, Matrix.identity(3))
