@@ -13,9 +13,15 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .build import ExtensionData1D, change_basis_quadratic, double_extension_1d
+from .build import (
+    ExtensionData1D,
+    block_algebra,
+    change_basis_quadratic,
+    double_extension_parts,
+)
 from .errors import (
     CenterTrivial,
+    DimensionMismatch,
     NoIsotropicCentralVector,
     NoRationalCentralEigenvector,
     NotAnIdeal,
@@ -111,39 +117,11 @@ def orthogonal_ideal(q: QuadraticHomAlgebra, i: Subspace) -> Subspace:
 
 
 def orthogonal_subspace(q: QuadraticHomAlgebra, w: Subspace) -> Subspace:
+    if w.ambient_dim != q.dim:
+        raise DimensionMismatch("subspace lives in a different space")
     if w.dim == 0:
         return Subspace.full(q.dim)
     return kernel(w.basis @ q.gram)
-
-
-# ---------------------------------------------------------------------------
-# restrictions
-# ---------------------------------------------------------------------------
-
-def restrict_hom(g: HomAlgebra, w: Subspace) -> HomAlgebra:
-    """Structure induced on an invariant subspace, in its RREF basis."""
-    rows = w.vectors()
-    k = w.dim
-    bracket = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            coords = w.coords_of(g.bracket_vec(rows[a], rows[b]))
-            if coords is None:
-                raise NotSubalgebra("subspace is not closed under the bracket")
-            bracket[(a, b)] = coords
-    alpha_cols = []
-    for u in rows:
-        coords = w.coords_of(g.alpha.apply(u))
-        if coords is None:
-            raise NotSubalgebra("subspace is not invariant under the twist")
-        alpha_cols.append(coords)
-    return HomAlgebra(k, bracket, Matrix.from_cols(alpha_cols))
-
-
-def restrict_quadratic(q: QuadraticHomAlgebra, w: Subspace) -> QuadraticHomAlgebra:
-    alg = restrict_hom(q.algebra, w)
-    gram = w.basis @ q.gram @ w.basis.transpose()
-    return QuadraticHomAlgebra(alg, BilinearForm(w.dim, gram))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +205,9 @@ def _decompose(q, embedding, original):
         orth = orthogonal_subspace(q, cand)
         if not is_ideal(q.algebra, orth):
             continue
-        left = restrict_quadratic(q, cand)
-        right = restrict_quadratic(q, orth)
+        t = change_basis_quadratic(q, Matrix(cand.vectors() + orth.vectors()).transpose())
+        left = block_algebra(t, 0, cand.dim)
+        right = block_algebra(t, cand.dim, q.dim)
         lift_left = _compose_embedding(embedding, cand)
         lift_right = _compose_embedding(embedding, orth)
         return _decompose(left, lift_left, original) + _decompose(
@@ -466,8 +445,9 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
 
     Picks a rational eigenvector e of the twist restricted to the center with
     B(e,e) = 0 (smallest eigenvalue in the (numerator, denominator) order),
-    builds the hyperbolic partner b, cuts V = (Ke + Kb)-perp, extracts the
-    extension data and verifies the reconstruction exactly.
+    builds the hyperbolic partner b, cuts V = (Ke + Kb)-perp, and reads the
+    base and extension data off q in the frame (b, V, e), verifying the
+    reconstruction exactly (``build.double_extension_parts``).
     """
     g = q.algebra
     w = multiplicativity_witness(g)
@@ -488,12 +468,9 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
         raise NoRationalCentralEigenvector(
             "twist restricted to the center has no rational eigenvalue"
         )
-    e = None
-    lam = None
-    for ev, eig in pairs:
-        found = _isotropic_in_eigenspace(q, (eig.basis @ z.basis).data)
-        if found is not None:
-            e, lam = found, ev
+    for _, eig in pairs:
+        e = _isotropic_in_eigenspace(q, (eig.basis @ z.basis).data)
+        if e is not None:
             break
     if e is None:
         raise NoIsotropicCentralVector(
@@ -512,56 +489,7 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     v_space = kernel(Matrix([q.gram.apply(e), q.gram.apply(b)]))
     if v_space.dim != q.dim - 2:
         raise ReconstructionFailed("hyperbolic plane did not split off")
-    rows = v_space.vectors()
-
-    def decompose(y):
-        cb = q.form.value(y, e)
-        ce = q.form.value(y, b)
-        rest = sub_vec(sub_vec(y, tuple(cb * x for x in b)), tuple(ce * x for x in e))
-        coords = v_space.coords_of(rest)
-        if coords is None:
-            raise ReconstructionFailed("vector leaves the b, V, e frame")
-        return cb, coords, ce
-
-    k = v_space.dim
-    alpha_v_cols = []
-    for u in rows:
-        cb, coords, _ = decompose(g.alpha.apply(u))
-        if cb != 0:
-            raise ReconstructionFailed("twist maps V outside Ke + V")
-        alpha_v_cols.append(coords)
-    alpha_v = Matrix.from_cols(alpha_v_cols)
-    cb, x0, lam0 = decompose(g.alpha.apply(b))
-    if cb != lam:
-        raise ReconstructionFailed("twist of b has an unexpected b component")
-    delta_cols = []
-    for u in rows:
-        cb, coords, ce = decompose(g.bracket_vec(b, u))
-        if cb != 0 or ce != 0:
-            raise ReconstructionFailed("[b, V] leaves V")
-        delta_cols.append(coords)
-    delta = Matrix.from_cols(delta_cols)
-    bracket_v = {}
-    for a in range(k):
-        for c in range(a + 1, k):
-            cb, coords, _ = decompose(g.bracket_vec(rows[a], rows[c]))
-            if cb != 0:
-                raise ReconstructionFailed("[V, V] has a b component")
-            bracket_v[(a, c)] = coords
-    gram_v = v_space.basis @ q.gram @ v_space.basis.transpose()
-    base = QuadraticHomAlgebra(
-        HomAlgebra(k, bracket_v, alpha_v), BilinearForm(k, gram_v)
-    )
-    data = ExtensionData1D(delta, x0, lam, lam0)
-    rebuilt = double_extension_1d(base, data)
-    p = Matrix([b] + list(rows) + [e]).transpose()
-    transported = change_basis_quadratic(q, p)
-    if (
-        transported.algebra.bracket != rebuilt.algebra.bracket
-        or transported.alpha != rebuilt.alpha
-        or transported.gram != rebuilt.gram
-    ):
-        raise ReconstructionFailed("rebuilt extension does not match the input")
+    base, data = double_extension_parts(q, b, v_space.vectors(), e)
     return DoubleExtensionWitness(e, b, v_space, data, base)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NotRegular,
     NotRepresentation,
     NotSymmetric,
+    ReconstructionFailed,
 )
 from .exactlin import (
     Matrix,
@@ -149,6 +150,22 @@ def change_basis_quadratic(q: QuadraticHomAlgebra, p: Matrix) -> QuadraticHomAlg
     alg = change_basis(q.algebra, p)
     gram = p.transpose() @ q.gram @ p
     return QuadraticHomAlgebra(alg, BilinearForm(q.dim, gram))
+
+
+def block_algebra(t: QuadraticHomAlgebra, lo: int, hi: int) -> QuadraticHomAlgebra:
+    """The bracket, twist and form of t on basis vectors lo .. hi - 1.
+
+    Every component outside the block is dropped, so on an invariant span of
+    basis vectors (as ``change_basis_quadratic`` lays one out) this is the
+    structure t induces there.  The result is validated as quadratic.
+    """
+    if not 0 <= lo < hi <= t.dim:
+        raise DimensionMismatch(f"block {lo}..{hi} outside dimension {t.dim}")
+    k = hi - lo
+    pairs = t.algebra.bracket.items()
+    bracket = {(i - lo, j - lo): v[lo:hi] for (i, j), v in pairs if lo <= i and j < hi}
+    alpha, gram = (Matrix([r[lo:hi] for r in m.data[lo:hi]]) for m in (t.alpha, t.gram))
+    return QuadraticHomAlgebra(HomAlgebra(k, bracket, alpha), BilinearForm(k, gram))
 
 
 def _require_lie(g: HomAlgebra, where: str):
@@ -568,6 +585,28 @@ def double_extension_1d(
     alg = HomAlgebra(dim, bracket, Matrix(alpha_rows))
     gram = _extension_gram(Matrix.zeros(1, 1), v.gram)
     return QuadraticHomAlgebra(alg, BilinearForm(dim, gram))
+
+
+def double_extension_parts(
+    q: QuadraticHomAlgebra, b, vs, e
+) -> tuple[QuadraticHomAlgebra, ExtensionData1D]:
+    """The base and data of q as a double extension in the frame (b, vs, e).
+
+    Inverts ``double_extension_1d``: q is carried to the basis b, vs, e, the
+    base is the block on vs, delta is the vs-part of [b, .], and alpha(b)
+    gives lam, x0 and lam0 as its b-, vs- and e-coordinates.  Raises
+    ``ReconstructionFailed`` unless rebuilding from them gives the carried
+    algebra exactly.
+    """
+    n = len(vs)
+    t = change_basis_quadratic(q, Matrix([b, *vs, e]).transpose())
+    base = block_algebra(t, 1, n + 1)
+    delta = Matrix.from_cols([t.algebra.basis_bracket(0, 1 + u)[1 : n + 1] for u in range(n)])
+    ab = t.alpha.col(0)
+    data = ExtensionData1D(delta, ab[1 : n + 1], ab[0], ab[n + 1])
+    if double_extension_1d(base, data) != t:
+        raise ReconstructionFailed("rebuilt extension does not match the input")
+    return base, data
 
 
 @dataclass(frozen=True)

@@ -408,8 +408,8 @@ class Subspace:
         # a basis with no rows may come without a width, as Matrix([]) does
         if basis.rows and basis.cols != ambient_dim:
             raise DimensionMismatch("basis vectors must match ambient dimension")
-        red, pivots = basis.rref()
-        self._set(ambient_dim, red.data[: len(pivots)], pivots)
+        rows, pivots = _reduce(sparse_rows(basis.data))
+        self._set(ambient_dim, [dense_row(r, ambient_dim) for r in rows], pivots)
 
     def _set(self, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -430,9 +430,6 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
-        if not vectors:
-            return cls.zero(ambient_dim)
         return cls(ambient_dim, Matrix(vectors))
 
     @classmethod

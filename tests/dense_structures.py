@@ -1,16 +1,56 @@
-"""Dense structure builders, kept as the oracle for the sparse ones in homlie.
+"""Dense and per-vector structure code, kept as the oracle for homlie's.
 
-These are the constructions ``homlie.catalog`` and ``homlie.build`` ran
-before they worked from nonzero entries only: sl_n from dense n x n basis
-matrices (commutators, tr(xy) and -x^T as full matrix products, read back
-into coordinates), and the current algebra g (x) A from the full dim^3
-product tensor with id (x) theta as a dense Kronecker product.  Nothing here
-calls the code under test.
+The dense builders are the constructions ``homlie.catalog`` and
+``homlie.build`` ran before they worked from nonzero entries only: sl_n from
+dense n x n basis matrices (commutators, tr(xy) and -x^T as full matrix
+products, read back into coordinates), and the current algebra g (x) A from
+the full dim^3 product tensor with id (x) theta as a dense Kronecker product.
+They call none of the code under test.
+
+The per-vector readers are how ``homlie.analyze`` took a quadratic algebra
+apart before it read every piece off one change of basis: restrictions to an
+invariant subspace, orthogonal decomposition and double-extension
+recognition, each piece expressed one basis vector at a time.  They share
+with the code under test only the steps it left unchanged: the candidate
+ideals, the choice of e, b and V, and the final rebuild.
 """
 
 from fractions import Fraction
 
-from homlie.exactlin import Matrix
+from homlie.analyze import (
+    DoubleExtensionWitness,
+    _candidate_ideals,
+    _compose_embedding,
+    _isotropic_in_eigenspace,
+    is_ideal,
+    orthogonal_subspace,
+)
+from homlie.build import ExtensionData1D, change_basis_quadratic, double_extension_1d
+from homlie.errors import (
+    CenterTrivial,
+    NoIsotropicCentralVector,
+    NoRationalCentralEigenvector,
+    NotMultiplicative,
+    NotSubalgebra,
+    PreconditionFailed,
+    ReconstructionFailed,
+)
+from homlie.exactlin import (
+    Matrix,
+    Subspace,
+    kernel,
+    rational_eigenpairs,
+    solve_rows,
+    sparse_rows,
+    sub_vec,
+)
+from homlie.homalg import (
+    BilinearForm,
+    HomAlgebra,
+    QuadraticHomAlgebra,
+    center,
+    multiplicativity_witness,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -127,3 +167,143 @@ def dense_tensor_current(g, a, theta) -> tuple[dict, Matrix]:
                     if any(v):
                         bracket[(i * m + r, j * m + s)] = v
     return bracket, dense_kronecker(Matrix.identity(n), theta)
+
+
+def restrict_hom(g: HomAlgebra, w: Subspace) -> HomAlgebra:
+    """Structure induced on an invariant subspace, in its RREF basis."""
+    rows = w.vectors()
+    k = w.dim
+    bracket = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            coords = w.coords_of(g.bracket_vec(rows[a], rows[b]))
+            if coords is None:
+                raise NotSubalgebra("subspace is not closed under the bracket")
+            bracket[(a, b)] = coords
+    alpha_cols = []
+    for u in rows:
+        coords = w.coords_of(g.alpha.apply(u))
+        if coords is None:
+            raise NotSubalgebra("subspace is not invariant under the twist")
+        alpha_cols.append(coords)
+    return HomAlgebra(k, bracket, Matrix.from_cols(alpha_cols))
+
+
+def restrict_quadratic(q: QuadraticHomAlgebra, w: Subspace) -> QuadraticHomAlgebra:
+    alg = restrict_hom(q.algebra, w)
+    gram = w.basis @ q.gram @ w.basis.transpose()
+    return QuadraticHomAlgebra(alg, BilinearForm(w.dim, gram))
+
+
+def per_vector_decompose(q: QuadraticHomAlgebra, embedding=None, original=None):
+    """``decompose_irreducible(q, with_bases=True)`` through ``restrict_quadratic``."""
+    if embedding is None:
+        embedding, original = Subspace.full(q.dim), q
+    for cand in _candidate_ideals(q):
+        if not is_ideal(q.algebra, cand):
+            continue
+        sub_gram = cand.basis @ q.gram @ cand.basis.transpose()
+        if sub_gram.rank() != cand.dim:
+            continue
+        orth = orthogonal_subspace(q, cand)
+        if not is_ideal(q.algebra, orth):
+            continue
+        left = restrict_quadratic(q, cand)
+        right = restrict_quadratic(q, orth)
+        lift_left = _compose_embedding(embedding, cand)
+        lift_right = _compose_embedding(embedding, orth)
+        return per_vector_decompose(left, lift_left, original) + per_vector_decompose(
+            right, lift_right, original
+        )
+    return [(embedding, q)]
+
+
+def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
+    """``recognize_double_extension``, splitting every vector along b, V, e in turn."""
+    g = q.algebra
+    w = multiplicativity_witness(g)
+    if w is not None:
+        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    if q.dim < 3:
+        raise PreconditionFailed("dimension must be at least 3")
+    z = center(g)
+    if z.dim == 0:
+        raise CenterTrivial("center is trivial")
+    mapped = Subspace.from_vectors(q.dim, [g.alpha.apply(v) for v in z.vectors()])
+    if not z.contains(mapped):
+        raise ReconstructionFailed("center is not twist-invariant")
+    alpha_z = Matrix.from_cols([z.coords_of(g.alpha.apply(v)) for v in z.vectors()])
+    pairs = rational_eigenpairs(alpha_z)
+    if not pairs:
+        raise NoRationalCentralEigenvector(
+            "twist restricted to the center has no rational eigenvalue"
+        )
+    e = lam = None
+    for ev, eig in pairs:
+        found = _isotropic_in_eigenspace(q, (eig.basis @ z.basis).data)
+        if found is not None:
+            e, lam = found, ev
+            break
+    if e is None:
+        raise NoIsotropicCentralVector(
+            "every rational central eigenvector has nonzero square"
+        )
+    lead = next(x for x in e if x != 0)
+    e = tuple(x / lead for x in e)
+    b = solve_rows(sparse_rows([q.gram.apply(e) + (_ONE,)]), q.dim)[0]
+    if b is None:
+        raise ReconstructionFailed("form is degenerate against the central vector")
+    bb = q.form.value(b, b)
+    if bb != 0:
+        b = sub_vec(b, tuple(bb / 2 * x for x in e))
+    v_space = kernel(Matrix([q.gram.apply(e), q.gram.apply(b)]))
+    if v_space.dim != q.dim - 2:
+        raise ReconstructionFailed("hyperbolic plane did not split off")
+    rows = v_space.vectors()
+
+    def split(y):
+        cb = q.form.value(y, e)
+        ce = q.form.value(y, b)
+        rest = sub_vec(sub_vec(y, tuple(cb * x for x in b)), tuple(ce * x for x in e))
+        coords = v_space.coords_of(rest)
+        if coords is None:
+            raise ReconstructionFailed("vector leaves the b, V, e frame")
+        return cb, coords, ce
+
+    k = v_space.dim
+    alpha_v_cols = []
+    for u in rows:
+        cb, coords, _ = split(g.alpha.apply(u))
+        if cb != 0:
+            raise ReconstructionFailed("twist maps V outside Ke + V")
+        alpha_v_cols.append(coords)
+    cb, x0, lam0 = split(g.alpha.apply(b))
+    if cb != lam:
+        raise ReconstructionFailed("twist of b has an unexpected b component")
+    delta_cols = []
+    for u in rows:
+        cb, coords, ce = split(g.bracket_vec(b, u))
+        if cb != 0 or ce != 0:
+            raise ReconstructionFailed("[b, V] leaves V")
+        delta_cols.append(coords)
+    bracket_v = {}
+    for a in range(k):
+        for c in range(a + 1, k):
+            cb, coords, _ = split(g.bracket_vec(rows[a], rows[c]))
+            if cb != 0:
+                raise ReconstructionFailed("[V, V] has a b component")
+            bracket_v[(a, c)] = coords
+    gram_v = v_space.basis @ q.gram @ v_space.basis.transpose()
+    base = QuadraticHomAlgebra(
+        HomAlgebra(k, bracket_v, Matrix.from_cols(alpha_v_cols)), BilinearForm(k, gram_v)
+    )
+    data = ExtensionData1D(Matrix.from_cols(delta_cols), x0, lam, lam0)
+    rebuilt = double_extension_1d(base, data)
+    transported = change_basis_quadratic(q, Matrix([b] + list(rows) + [e]).transpose())
+    if (
+        transported.algebra.bracket != rebuilt.algebra.bracket
+        or transported.alpha != rebuilt.alpha
+        or transported.gram != rebuilt.gram
+    ):
+        raise ReconstructionFailed("rebuilt extension does not match the input")
+    return DoubleExtensionWitness(e, b, v_space, data, base)

@@ -15,15 +15,16 @@ from homlie.analyze import (
     is_ideal,
     is_solvable,
     orthogonal_ideal,
+    orthogonal_subspace,
     radical_involutive,
     recognize_double_extension,
-    restrict_quadratic,
     simplicity_verdict,
     trace_form,
     verify_centerless_involution,
 )
 from homlie.build import (
     ExtensionData1D,
+    block_algebra,
     change_basis_quadratic,
     direct_sum,
     double_extension_1d,
@@ -34,6 +35,7 @@ from homlie.build import (
 from homlie.catalog import _nilpotent_block, _rand_unimodular
 from homlie.errors import (
     CenterTrivial,
+    DimensionMismatch,
     NoIsotropicCentralVector,
     NoRationalCentralEigenvector,
     NotAnIdeal,
@@ -145,6 +147,14 @@ def test_orthogonal_ideal():
         orthogonal_ideal(t, Subspace.from_vectors(6, [[1, 0, 0, 0, 0, 0]]))
 
 
+def test_orthogonal_subspace_rejects_another_ambient_space():
+    q = catalog.sl_n_transpose(2)
+    for w in (Subspace.zero(5), Subspace.full(5), Subspace.zero(2)):
+        with pytest.raises(DimensionMismatch):
+            orthogonal_subspace(q, w)
+    assert orthogonal_subspace(q, Subspace.zero(3)).is_full()
+
+
 def test_orthogonal_ideal_dimension_formula():
     rng = random.Random(2)
     for seed in range(4):
@@ -177,7 +187,8 @@ def test_fitting_mixed_blocks():
 def test_fitting_restricted_quadratic():
     q = orthogonal_sum(_nilpotent_block(2), catalog.sl_n_transpose(2))
     fs = fitting_decomposition(q)
-    j_alg = restrict_quadratic(q, fs.j_part)
+    p = Matrix(fs.i_part.vectors() + fs.j_part.vectors()).transpose()
+    j_alg = block_algebra(change_basis_quadratic(q, p), fs.i_part.dim, q.dim)
     assert check_quadratic(j_alg.algebra, j_alg.form).ok
 
 

@@ -10,6 +10,7 @@ from homlie.build import (
     ExtensionData1D,
     InvolutiveExtensionData,
     adjoint_rep,
+    block_algebra,
     centroid_twists,
     centroid_untwist,
     change_basis,
@@ -18,6 +19,7 @@ from homlie.build import (
     direct_sum,
     double_extension_1d,
     double_extension_conditions,
+    double_extension_parts,
     involutive_double_extension,
     involutive_extension_discrepancy,
     omega_extension,
@@ -37,6 +39,7 @@ from homlie.errors import (
     AnnihilatorConditionFailed,
     CenterConditionFailed,
     ConditionFailed,
+    DimensionMismatch,
     InvolutiveDataInvalid,
     NotAutomorphism,
     NotEndomorphism,
@@ -44,6 +47,7 @@ from homlie.errors import (
     NotLie,
     NotMultiplicative,
     NotRegular,
+    ReconstructionFailed,
 )
 from homlie.exactlin import Matrix
 from homlie.homalg import (
@@ -539,6 +543,50 @@ def test_double_extension_over_twisted_sl2():
     assert check_hom_lie(q.algebra).ok
     assert classify_alpha(q.algebra).multiplicative
     assert check_quadratic(q.algebra, q.form).ok
+
+
+def own_frame(dim):
+    """The frame (b, V, e) of double_extension_1d's output in its own basis."""
+    units = [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+    return units[0], units[1:-1], units[-1]
+
+
+def test_double_extension_parts_inverts_double_extension_1d():
+    # delta = 0 with any x0 is valid over an abelian base with identity twist
+    x0_case = (
+        abelian_quadratic(2, Matrix.diagonal([1, 2])),
+        ExtensionData1D(Matrix.zeros(2, 2), (1, -2), F(3), F(1, 2)),
+    )
+    cases = [base_and_rotation(), x0_case]
+    rng = random.Random(5)
+    for kind, seed in (("quadratic", 0), ("involutive_quadratic", 2)):
+        base = catalog.random_instance(seed, 5, kind)
+        for lam in (F(1), F(-1)):
+            cases.append((base, catalog.random_extension_data(rng, base, lam)))
+    for base, data in cases:
+        q = double_extension_1d(base, data)
+        assert double_extension_parts(q, *own_frame(q.dim)) == (base, data)
+
+
+def test_double_extension_parts_rejects_a_frame_it_cannot_rebuild():
+    # the twist is symmetric for the hyperbolic form but maps e to v + e, so
+    # e is no twist eigenvector and no extension data rebuilds the twist
+    gram = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    alpha = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    q = QuadraticHomAlgebra(catalog.abelian(3).with_alpha(alpha), BilinearForm(3, gram))
+    with pytest.raises(ReconstructionFailed, match="rebuilt extension does not match"):
+        double_extension_parts(q, *own_frame(3))
+
+
+def test_block_algebra_reads_summands_and_checks_its_range():
+    a, b = catalog.sl_n_transpose(2), abelian_quadratic(2)
+    s = orthogonal_sum(a, b)
+    assert block_algebra(s, 0, 3) == a
+    assert block_algebra(s, 3, 5) == b
+    assert block_algebra(s, 0, 5) == s
+    for lo, hi in ((-1, 2), (2, 2), (3, 2), (0, 6), (5, 6)):
+        with pytest.raises(DimensionMismatch):
+            block_algebra(s, lo, hi)
 
 
 # -- involutive double extension ---------------------------------------------

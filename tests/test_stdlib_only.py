@@ -1,4 +1,9 @@
-"""The library imports nothing outside the standard library (``dependencies = []``)."""
+"""Import rules of the library.
+
+It imports nothing outside the standard library (``dependencies = []``),
+and no module imports a private ``_name`` from another homlie module: a
+helper that modules share is public and documented.
+"""
 
 import ast
 import sys
@@ -25,3 +30,21 @@ def test_imports_only_stdlib_and_homlie(path):
         set(_imported(tree)) - set(sys.stdlib_module_names) - {"homlie"}
     )
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+def _private_homlie_names(tree):
+    """Names starting with one underscore imported from a homlie module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or node.module.split(".")[0] == "homlie"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield alias.name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_no_private_homlie_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = sorted(set(_private_homlie_names(tree)))
+    assert private == [], f"{path.name} imports private names {private}"
