@@ -71,9 +71,7 @@ def centroid(g: HomAlgebra) -> Subspace:
     Endomorphisms are flattened row major into Q^(n^2).
     """
     n = g.dim
-    ad_cols = {}  # (i, s) -> (m, ad_i[m][s])
-    for i, s, m, c in g.structure_constants():
-        ad_cols.setdefault((i, s), []).append((m, c))
+    ads = g.ad_columns()  # ads[i][s] = {m: ad_i[m][s]}
     ad_rows = g.ad_entries()  # (r, s) -> (k, ad_k[r][s])
 
     def equations():
@@ -82,7 +80,7 @@ def centroid(g: HomAlgebra) -> Subspace:
             for r in range(n):
                 for s in range(n):
                     row = sparse_row(chain(
-                        ((r * n + m, c) for m, c in ad_cols.get((i, s), ())),
+                        ((r * n + m, c) for m, c in ads[i][s].items()),
                         ((k * n + i, -c) for k, c in ad_rows.get((r, s), ())),
                     ))
                     if row:
@@ -93,9 +91,7 @@ def centroid(g: HomAlgebra) -> Subspace:
 
 def ideal_closure(g: HomAlgebra, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed closed under all [x_i, .] and alpha."""
-    if seed.ambient_dim != g.dim:
-        raise NotSubalgebra("seed lives in a different space")
-    return spin_up([g.alpha] + g.ad_matrices(), seed)
+    return spin_up([sparse_rows(zip(*g.alpha.data))] + g.ad_columns(), seed)
 
 
 def is_ideal(g: HomAlgebra, w: Subspace) -> bool:
@@ -249,16 +245,15 @@ def is_solvable(g: HomAlgebra, i: Optional[Subspace] = None) -> bool:
 def trace_form(g: HomAlgebra) -> BilinearForm:
     """Trace form B(x, y) = tr(ad(x) ad(y)); the Killing form when alpha = id."""
     n = g.dim
-    ads = [{} for _ in range(n)]  # ads[i][r, s] = ad_i[r][s], nonzero entries
-    for i, s, r, c in g.structure_constants():
-        ads[i][r, s] = c
+    ads = g.ad_columns()  # ads[i][s] = {r: ad_i[r][s]}
     gram = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
+        entries = [(r, s, c) for s, col in enumerate(ads[i]) for r, c in col.items()]
         for j in range(i, n):
             # tr(A B) = sum over r, s of A[r][s] B[s][r]
             adj = ads[j]
             gram[i][j] = gram[j][i] = sum(
-                (c * adj[s, r] for (r, s), c in ads[i].items() if (s, r) in adj), _ZERO
+                (c * adj[r][s] for r, s, c in entries if s in adj[r]), _ZERO
             )
     return BilinearForm(n, Matrix(gram))
 
@@ -321,7 +316,8 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     bracket values, and ``budget`` vectors from a fixed pseudorandom stream).
     Simple: every seed closure is full and some element of the enveloping
     algebra of the adjoints and the twist has a one-dimensional eigenspace
-    whose spin-up, together with its transposed counterpart, is full.
+    whose spin-up, together with its transposed counterpart, is full
+    (Norton's irreducibility test; Holt and Rees, J. Austral. Math. Soc. A 57, 1994).
     Unknown: no certificate found within the budget.
     """
     n = g.dim
@@ -349,18 +345,8 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
         return SimplicityVerdict("NotSimple", proper)
     # certificate search: an enveloping-algebra element with nullity one
     gens = g.ad_matrices() + [g.alpha]
-    candidates = list(gens)
-    for a in gens:
-        for b in gens:
-            candidates.append(a @ b)
-    for _ in range(budget):
-        acc = Matrix.zeros(n, n)
-        for _ in range(3):
-            word = rng.choice(candidates)
-            acc = acc + word.scale(Fraction(rng.randrange(-3, 4)))
-        candidates.append(acc)
-    tgens = [m.transpose() for m in gens]
-    for z in candidates:
+    tgens = [sparse_rows(m.data) for m in gens]  # the sparse columns of each transpose
+    for z in _certificate_candidates(gens, budget, rng):
         for lam, eig in rational_eigenpairs(z):
             if eig.dim != 1:
                 continue
@@ -380,6 +366,22 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
                 continue
             return SimplicityVerdict("Simple")
     return SimplicityVerdict("Unknown")
+
+
+def _certificate_candidates(gens: list[Matrix], budget: int, rng: random.Random):
+    """Each candidate of the certificate search, formed only when the search reaches it.
+
+    The generators, then every product a @ b, then ``budget`` sums of three
+    candidates made so far, drawn from rng with coefficients in -3..3.
+    """
+    made = []
+    for z in chain(gens, (a @ b for a in gens for b in gens)):
+        made.append(z)
+        yield z
+    zero = Matrix.zeros(gens[0].rows, gens[0].cols)
+    for _ in range(budget):
+        made.append(sum((rng.choice(made).scale(Fraction(rng.randrange(-3, 4))) for _ in range(3)), zero))
+        yield made[-1]
 
 
 # ---------------------------------------------------------------------------

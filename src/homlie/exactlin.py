@@ -454,20 +454,13 @@ class Subspace:
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.basis.data
 
-    def reduce_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Residual of v after eliminating against the RREF basis."""
-        w = list(vec(v))
+    def contains_vector(self, v: Sequence) -> bool:
+        """Is v in the subspace: does it reduce to zero against a copy of the basis's echelon."""
+        w = vec(v)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        for r, p in zip(self.basis.data, self.pivots):
-            if w[p] != 0:
-                f = w[p]
-                for j in range(p, self.ambient_dim):
-                    w[j] -= f * r[j]
-        return tuple(w)
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce_vector(v))
+        echelon = dict(zip(self.pivots, sparse_rows(self.basis.data)))
+        return _insert_row(echelon, sparse_rows([w])[0]) is None
 
     def coords_of(self, v: Sequence) -> tuple[Fraction, ...] | None:
         """Coefficients of v in the basis rows, or None if v is outside.
@@ -531,24 +524,25 @@ def kernel(a: Matrix) -> Subspace:
     return solve_rows(sparse_rows(a.data), a.cols)[1]
 
 
-def spin_up(generators: Sequence[Matrix], seed: Subspace) -> Subspace:
+def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and mapped into itself by every generator.
 
-    One echelon grows from the seed's basis.  Every row that joins it is
-    mapped once by each generator, and the images are reduced into it in
-    turn, until no row is left to map (the MeatAxe spin-up, Parker 1984).
+    Each generator is an operator on Q^n given by its n sparse columns
+    (``sparse_rows(zip(*m.data))`` for a matrix m).  One echelon grows from
+    the seed's basis.  Every row that joins it is mapped once by each
+    generator, and the images are reduced into it in turn, until no row is
+    left to map (the MeatAxe spin-up, Parker 1984).
     """
     n = seed.ambient_dim
+    if any(len(cols) != n or any(not 0 <= k < n for col in cols for k in col) for cols in generators):
+        raise DimensionMismatch(f"spin_up needs generators of {n} sparse columns in Q^{n}")
     if seed.is_zero():
         return seed
-    if any(m.shape != (n, n) for m in generators):
-        raise DimensionMismatch(f"spin_up needs {n} x {n} generators")
-    gen_cols = [sparse_rows(zip(*m.data)) for m in generators]
     echelon = dict(zip(seed.pivots, sparse_rows(seed.basis.data)))
     todo = list(echelon.values())
     while todo and len(echelon) < n:
         row = todo.pop()
-        for cols in gen_cols:
+        for cols in generators:
             image = _insert_row(echelon, combine_rows((x, cols[k]) for k, x in row.items()))
             if image is not None:
                 todo.append(image)
@@ -582,15 +576,25 @@ def kernel_image_power(a: Matrix) -> tuple[int, Subspace, Subspace]:
 
 
 def _positive_divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order, none for 0.
+
+    They are built from the factorisation of |n| by trial division, each
+    factor divided out as it is found, so the trial divisors stop at the
+    square root of what is left.
+    """
     n = abs(n)
-    divs = []
-    d = 1
+    divs = [1] if n else []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
+            power = divs
+            while n % d == 0:
+                n //= d
+                power = [x * d for x in power]
+                divs = divs + power
         d += 1
+    if n > 1:
+        divs += [x * n for x in divs]
     return sorted(divs)
 
 

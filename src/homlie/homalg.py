@@ -163,14 +163,17 @@ class HomAlgebra:
             entries.setdefault((r, s), []).append((p, c))
         return entries
 
-    def ad(self, i: int) -> Matrix:
-        """Matrix of [x_i, .] acting on column vectors."""
-        if not 0 <= i < self.dim:
-            raise IndexOutOfRange(str(i))
-        return Matrix(zip(*(self.basis_bracket(i, j) for j in range(self.dim))))
+    def ad_columns(self) -> list[list[SparseRow]]:
+        """Sparse columns [x_i, x_q] of every ad(x_i), built afresh on each call."""
+        cols = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j), row in self._rows.items():
+            cols[i][j] = dict(row)
+            cols[j][i] = {k: -x for k, x in row.items()}
+        return cols
 
     def ad_matrices(self) -> list[Matrix]:
-        return [self.ad(i) for i in range(self.dim)]
+        """Matrices of every [x_i, .] acting on column vectors: the dense view of ``ad_columns``."""
+        return [Matrix(zip(*(dense_row(c, self.dim) for c in cols))) for cols in self.ad_columns()]
 
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""

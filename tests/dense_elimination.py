@@ -4,7 +4,8 @@ This is the elimination ``Matrix.rref`` used before ``homlie.exactlin`` moved
 to sparse rows, together with what was built on it: the kernel, the dense
 centroid system, the dense solver ``solve_linear``, the round-based spin-up
 and the greedy complement.  RREF is unique, so the library must agree with
-it exactly.
+it exactly.  ``trial_divisors`` is the divisor list the rational root search
+took by trial division up to the square root of its input.
 """
 
 from fractions import Fraction
@@ -124,3 +125,17 @@ def dense_complement(space) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int
             chosen.append(e)
             current.append(e)
     return dense_span(chosen, n)
+
+
+def trial_divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order, by trial division up to its square root."""
+    n = abs(n)
+    divs = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            divs.append(d)
+            if d != n // d:
+                divs.append(n // d)
+        d += 1
+    return sorted(divs)

@@ -13,12 +13,20 @@ invariant subspace, orthogonal decomposition and double-extension
 recognition, each piece expressed one basis vector at a time.  They share
 with the code under test only the steps it left unchanged: the candidate
 ideals, the choice of e, b and V, and the final rebuild.
+
+The dense verdict is ``homlie.analyze.simplicity_verdict`` as it was when
+operators reached the closures as dense matrices: every candidate product
+formed before the first is tested, and every closure taken over dense ad
+matrices read off ``basis_bracket``.
 """
 
+import random
 from fractions import Fraction
 
 from homlie.analyze import (
+    SIMPLICITY_STREAM_SEED,
     DoubleExtensionWitness,
+    SimplicityVerdict,
     _candidate_ideals,
     _compose_embedding,
     _isotropic_in_eigenspace,
@@ -38,11 +46,14 @@ from homlie.errors import (
 from homlie.exactlin import (
     Matrix,
     Subspace,
+    is_zero_vec,
     kernel,
     rational_eigenpairs,
     solve_rows,
     sparse_rows,
+    spin_up,
     sub_vec,
+    unit_vec,
 )
 from homlie.homalg import (
     BilinearForm,
@@ -307,3 +318,76 @@ def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
     ):
         raise ReconstructionFailed("rebuilt extension does not match the input")
     return DoubleExtensionWitness(e, b, v_space, data, base)
+
+
+def dense_ad_matrices(g: HomAlgebra) -> list[Matrix]:
+    """Matrices of every [x_i, .], column j holding the coefficients of [x_i, x_j]."""
+    return [Matrix(zip(*(g.basis_bracket(i, j) for j in range(g.dim)))) for i in range(g.dim)]
+
+
+def dense_closure(generators: list[Matrix], seed: Subspace) -> Subspace:
+    """Smallest subspace containing seed and mapped into itself by the matrices.
+
+    Each matrix is converted to sparse columns on every call, as the
+    closures did when they took dense matrices.
+    """
+    return spin_up([sparse_rows(zip(*m.data)) for m in generators], seed)
+
+
+def dense_simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
+    """``simplicity_verdict`` with an eager candidate list and closures over dense matrices."""
+    n = g.dim
+    ads = dense_ad_matrices(g)
+
+    def ideal_closure(seed):
+        return dense_closure([g.alpha] + ads, seed)
+
+    rng = random.Random(f"{SIMPLICITY_STREAM_SEED}:{n}")
+    seeds = [unit_vec(n, i) for i in range(n)]
+    for _, eig in rational_eigenpairs(g.alpha):
+        seeds.extend(eig.vectors())
+    seeds.extend(g.bracket.values())
+    for _ in range(budget):
+        seeds.append(
+            tuple(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2))) for _ in range(n))
+        )
+    proper = None
+    for s in seeds:
+        if is_zero_vec(s):
+            continue
+        w = ideal_closure(Subspace.from_vectors(n, [s]))
+        if 0 < w.dim < n:
+            proper = w
+            break
+    if g.is_abelian() or proper is not None:
+        return SimplicityVerdict("NotSimple", proper)
+    gens = ads + [g.alpha]
+    candidates = list(gens)
+    for a in gens:
+        for b in gens:
+            candidates.append(a @ b)
+    for _ in range(budget):
+        acc = Matrix.zeros(n, n)
+        for _ in range(3):
+            word = rng.choice(candidates)
+            acc = acc + word.scale(Fraction(rng.randrange(-3, 4)))
+        candidates.append(acc)
+    tgens = [m.transpose() for m in gens]
+    for z in candidates:
+        for lam, eig in rational_eigenpairs(z):
+            if eig.dim != 1:
+                continue
+            spin = ideal_closure(eig)
+            if spin.dim < n:
+                return SimplicityVerdict("NotSimple", spin)
+            cokernel = kernel((z - Matrix.identity(n).scale(lam)).transpose())
+            if cokernel.dim != 1:
+                continue
+            tspin = dense_closure(tgens, cokernel)
+            if tspin.dim < n:
+                annihilator = kernel(tspin.basis)
+                if 0 < annihilator.dim < n and ideal_closure(annihilator) == annihilator:
+                    return SimplicityVerdict("NotSimple", annihilator)
+                continue
+            return SimplicityVerdict("Simple")
+    return SimplicityVerdict("Unknown")

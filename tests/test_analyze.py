@@ -45,6 +45,7 @@ from homlie.errors import (
 from homlie.exactlin import Matrix, Subspace
 from homlie.homalg import (
     BilinearForm,
+    HomAlgebra,
     QuadraticHomAlgebra,
     check_quadratic,
 )
@@ -131,6 +132,32 @@ def test_ideal_closure():
     assert closed == Subspace.from_vectors(
         6, [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
     )
+
+
+def test_ideal_closure_rejects_a_seed_in_another_space():
+    g = catalog.filiform(5, 1)
+    for seed in (Subspace.zero(5), Subspace.from_vectors(7, [[1, 0, 0, 0, 0, 0, 0]]), Subspace.full(3)):
+        with pytest.raises(DimensionMismatch):
+            ideal_closure(g, seed)
+        with pytest.raises(DimensionMismatch):
+            is_ideal(g, seed)
+
+
+def test_ideal_closure_builds_no_dense_ad_matrix(monkeypatch):
+    cases = []
+    for g in (catalog.filiform(5, 1), catalog.sl_n_transpose(3).algebra, catalog.heis3()):
+        n = g.dim
+        seeds = [Subspace.zero(n), Subspace.full(n), center(g)]
+        seeds += [Subspace.from_vectors(n, [row]) for row in Matrix.identity(n).data]
+        cases.append((g, seeds))
+    expected = [[(ideal_closure(g, s), is_ideal(g, s)) for s in seeds] for g, seeds in cases]
+
+    def forbidden(self):
+        raise AssertionError("HomAlgebra.ad_matrices called")
+
+    monkeypatch.setattr(HomAlgebra, "ad_matrices", forbidden)
+    got = [[(ideal_closure(g, s), is_ideal(g, s)) for s in seeds] for g, seeds in cases]
+    assert got == expected
 
 
 def test_orthogonal_ideal():
@@ -310,6 +337,30 @@ def test_simplicity_catalog():
     assert v.tag == "NotSimple"
     assert is_ideal(catalog.filiform(4, 1), v.witness)
     assert 0 < v.witness.dim < 5
+
+
+def test_simplicity_forms_candidates_only_when_reached(monkeypatch):
+    # sl_n(3) is certified by one of its ad matrices, so no product a @ b is formed
+    depth = [0]
+    calls = []
+    matmul, charpoly = Matrix.__matmul__, Matrix.charpoly
+
+    def counted_matmul(self, other):
+        if not depth[0]:
+            calls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    def counted_charpoly(self):
+        depth[0] += 1
+        try:
+            return charpoly(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Matrix, "charpoly", counted_charpoly)
+    assert simplicity_verdict(catalog.sl_n(3)).tag == "Simple"
+    assert calls == []
 
 
 def test_simplicity_witness_soundness():

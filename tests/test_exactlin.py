@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from homlie.errors import DimensionMismatch, NotSquare
 from homlie.exactlin import (
     Matrix,
+    _positive_divisors,
     Subspace,
     kernel,
     kernel_image_power,
@@ -17,7 +18,14 @@ from homlie.exactlin import (
     spin_up,
 )
 
-from dense_elimination import dense_complement, dense_kernel, dense_rref, dense_solve, dense_spin_up
+from dense_elimination import (
+    dense_complement,
+    dense_kernel,
+    dense_rref,
+    dense_solve,
+    dense_spin_up,
+    trial_divisors,
+)
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
@@ -207,10 +215,15 @@ def spin_cases(draw):
 @given(spin_cases())
 def test_spin_up_matches_round_based_oracle(case):
     gens, seed = case
-    s = spin_up(gens, seed)
+    s = spin_up(columns(gens), seed)
     assert (s.basis.data, s.pivots) == dense_spin_up(gens, seed)
     assert s.contains(seed)
     assert all(s.contains_vector(m.apply(v)) for m in gens for v in s.vectors())
+
+
+def columns(gens):
+    """Each matrix as the sparse columns that ``spin_up`` takes."""
+    return [sparse_rows(zip(*m.data)) for m in gens]
 
 
 SHIFT = Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])  # e_i -> e_(i-1), e_0 -> 0
@@ -233,21 +246,36 @@ def _spin_edge_cases():
 
 def test_spin_up_edge_cases():
     for gens, seed in _spin_edge_cases():
-        s = spin_up(gens, seed)
+        s = spin_up(columns(gens), seed)
         assert (s.basis.data, s.pivots) == dense_spin_up(gens, seed)
-    assert spin_up([SHIFT], Subspace.zero(4)) == Subspace.zero(4)
-    assert spin_up([SHIFT], Subspace.from_vectors(4, [[0, 0, 1, 0]])) == Subspace.from_vectors(
+    shift = columns([SHIFT])
+    assert spin_up(shift, Subspace.zero(4)) == Subspace.zero(4)
+    assert spin_up(shift, Subspace.from_vectors(4, [[0, 0, 1, 0]])) == Subspace.from_vectors(
         4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     )
-    assert spin_up([SHIFT], Subspace.from_vectors(4, [[1, 2, 3, 4]])).is_full()
+    assert spin_up(shift, Subspace.from_vectors(4, [[1, 2, 3, 4]])).is_full()
+
+
+# a 4 x 3 matrix: as columns, its nonzero row 3 is a key outside 0..2
+TALL = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
 
 
 def test_spin_up_rejects_a_non_square_generator():
     seed = Subspace.from_vectors(3, [[1, 0, 0]])
+    for bad in (Matrix.zeros(3, 2), TALL, Matrix.identity(4)):
+        with pytest.raises(DimensionMismatch):
+            spin_up(columns([Matrix.identity(3), bad]), seed)
     for bad in (Matrix.zeros(3, 2), Matrix.zeros(2, 3), Matrix.identity(4)):
-        for closure in (spin_up, dense_spin_up):
-            with pytest.raises(DimensionMismatch):
-                closure([Matrix.identity(3), bad], seed)
+        with pytest.raises(DimensionMismatch):
+            dense_spin_up([Matrix.identity(3), bad], seed)
+
+
+def test_spin_up_checks_its_generators_before_a_zero_seed():
+    for bad in (Matrix.zeros(3, 2), TALL, Matrix.identity(4)):
+        with pytest.raises(DimensionMismatch):
+            spin_up(columns([bad]), Subspace.zero(3))
+    with pytest.raises(DimensionMismatch):
+        spin_up([[{0: Fraction(1)}]], Subspace.zero(0))
 
 
 def test_spin_up_and_complement_skip_subspace_reduction(monkeypatch):
@@ -260,7 +288,7 @@ def test_spin_up_and_complement_skip_subspace_reduction(monkeypatch):
 
     monkeypatch.setattr(Subspace, "__init__", forbidden)
     monkeypatch.setattr(Matrix, "rref", forbidden)
-    got_spun = [spin_up(gens, seed) for gens, seed in cases]
+    got_spun = [spin_up(columns(gens), seed) for gens, seed in cases]
     got_complements = [seed.complement() for _, seed in cases]
     assert [(s.basis.data, s.pivots) for s in got_spun] == spun
     assert [(s.basis.data, s.pivots) for s in got_complements] == complements
@@ -341,6 +369,33 @@ def test_rational_roots():
     roots = rational_roots([1, Fraction(-5, 3), Fraction(-2, 3)])
     assert roots == [Fraction(-1, 3), Fraction(2)]
     assert rational_roots([1, 0, 1]) == []
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 97, 10007)
+PRIMES_NEAR_10_6 = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(10**7), 10**7),
+        st.builds(pow, st.sampled_from(SMALL_PRIMES), st.integers(0, 12)).filter(lambda n: n < 10**13),
+        st.builds(lambda p, q: p * q, st.sampled_from(PRIMES_NEAR_10_6), st.sampled_from(PRIMES_NEAR_10_6)),
+    )
+)
+@example(0)
+@example(1)
+@example(2**40)
+@example(999983 * 1000003)
+def test_positive_divisors_match_trial_division(n):
+    assert _positive_divisors(n) == trial_divisors(n)
+
+
+def test_rational_eigenpairs_with_large_prime_eigenvalues():
+    for primes in ((10007, 10009, 10037), (100003, 100019, 100043)):
+        pairs = rational_eigenpairs(Matrix.diagonal(primes))
+        assert [lam for lam, _ in pairs] == list(primes)
+        assert [eig for _, eig in pairs] == [Subspace.from_vectors(3, [row]) for row in Matrix.identity(3).data]
 
 
 def test_rational_eigenpairs_identity():

@@ -345,7 +345,7 @@ def test_quadratic_self_duality():
     for q in (catalog.sl_n_transpose(2), catalog.sl_n_transpose(3)):
         g, gram = q.algebra, q.gram
         for i in range(g.dim):
-            adi = g.ad(i)
+            adi = g.ad_matrices()[i]
             assert gram @ adi == (-adi.transpose()) @ gram
         assert gram @ g.alpha == g.alpha.transpose() @ gram
         assert gram.inverse() is not None
