@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
 from typing import Optional
 
 from .build import (
@@ -18,6 +19,7 @@ from .build import (
     block_algebra,
     change_basis_quadratic,
     double_extension_parts,
+    untwist_involutive,
 )
 from .errors import (
     CenterTrivial,
@@ -25,7 +27,6 @@ from .errors import (
     NoIsotropicCentralVector,
     NoRationalCentralEigenvector,
     NotAnIdeal,
-    NotInvolutive,
     NotMultiplicative,
     NotSubalgebra,
     PreconditionFailed,
@@ -49,7 +50,6 @@ from .homalg import (
     BilinearForm,
     HomAlgebra,
     QuadraticHomAlgebra,
-    bracket_table,
     center,
     is_multiplicative,
     multiplicativity_witness,
@@ -258,25 +258,14 @@ def trace_form(g: HomAlgebra) -> BilinearForm:
     return BilinearForm(n, Matrix(gram))
 
 
-def associated_lie_algebra(g: HomAlgebra) -> HomAlgebra:
-    """Bracket [theta(x), theta(y)] with identity twist, for involutive g."""
-    bracket = bracket_table(g, g.alpha, g.alpha)
-    return HomAlgebra(g.dim, bracket, Matrix.identity(g.dim))
-
-
 def radical_involutive(g: HomAlgebra) -> Subspace:
     """Greatest solvable ideal of an involutive multiplicative Hom-Lie algebra.
 
-    Computed on the associated Lie algebra as the Killing-orthogonal of its
-    derived ideal (valid in characteristic zero), then verified to be a
-    twist-stable solvable ideal of g.
+    Computed on the untwisted Lie algebra (``build.untwist_involutive``) as
+    the Killing-orthogonal of its derived ideal (valid in characteristic
+    zero), then verified to be a twist-stable solvable ideal of g.
     """
-    if not g.alpha.power(2).is_identity():
-        raise NotInvolutive("twist map squared is not the identity")
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
-    lie = associated_lie_algebra(g)
+    lie, _ = untwist_involutive(g)
     killing = trace_form(lie)
     derived = Subspace.from_vectors(g.dim, lie.bracket.values())
     rad = (
@@ -406,8 +395,6 @@ class DoubleExtensionWitness:
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
-    from math import isqrt
-
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)

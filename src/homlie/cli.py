@@ -110,10 +110,6 @@ class Reporter:
         return 0 if all(c["passed"] for c in self.checks) else 1
 
 
-def _load(path) -> ser.ParsedFile:
-    return ser.load_path(path)
-
-
 def _need_algebra(parsed: ser.ParsedFile):
     if parsed.algebra is None:
         raise ser.ParseError("expected a Hom-Lie algebra file, found an associative one")
@@ -121,7 +117,7 @@ def _need_algebra(parsed: ser.ParsedFile):
 
 
 def _cmd_check(args) -> int:
-    parsed = _load(args.file)
+    parsed = ser.load_path(args.file)
     g = _need_algebra(parsed)
     names = parsed.names()
     rep = Reporter("check", args.json)
@@ -162,7 +158,7 @@ def _subspace_lines(rep: Reporter, label, sub, names):
 
 
 def _cmd_analyze(args) -> int:
-    parsed = _load(args.file)
+    parsed = ser.load_path(args.file)
     g = _need_algebra(parsed)
     names = parsed.names()
     rep = Reporter("analyze", args.json)
@@ -240,7 +236,7 @@ def _write_algebra(rep, path, alg, form=None, basis_names=None):
 def _cmd_construct(args) -> int:
     rep = Reporter("construct", args.json)
     op = args.operation
-    parsed = _load(args.file)
+    parsed = ser.load_path(args.file)
     g = _need_algebra(parsed)
     if op == "twist":
         out = bd.yau_twist(g.with_alpha(Matrix.identity(g.dim)), g.alpha)
@@ -271,14 +267,14 @@ def _cmd_construct(args) -> int:
         if parsed.form is None:
             print("error: inv-double-ext needs a form in the base file", file=sys.stderr)
             return 2
-        other = _need_algebra(_load(args.algebra))
+        other = _need_algebra(ser.load_path(args.algebra))
         data = ser.parse_inv_extension_data(_load_json(args.data), g.dim, other.dim)
         q = bd.involutive_double_extension(
             QuadraticHomAlgebra(g, parsed.form), other, data
         )
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "tensor-current":
-        aparsed = _load(args.algebra)
+        aparsed = ser.load_path(args.algebra)
         if aparsed.assoc is None:
             print("error: tensor-current needs an associative algebra file", file=sys.stderr)
             return 2

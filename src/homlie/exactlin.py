@@ -11,6 +11,7 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
@@ -605,8 +606,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         coeffs = coeffs[1:]
     if not coeffs or len(coeffs) == 1:
         return []
-    from math import lcm
-
     denom = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * denom) for c in coeffs]
     roots = []

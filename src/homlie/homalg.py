@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
 from .exactlin import (
@@ -31,7 +31,6 @@ from .exactlin import (
     solve_rows,
     sparse_rows,
     vec,
-    zero_vec,
 )
 
 Vector = tuple[Fraction, ...]
@@ -41,18 +40,20 @@ _EMPTY: SparseRow = {}  # shared, never written
 
 
 def _table(
-    dim: int, entries: Iterable[tuple[tuple[int, int], Sequence]], what: str, ordered: bool
+    dim: int, entries: Iterable[tuple[tuple[int, int], Sequence]], what: str, skew: bool
 ) -> tuple[MappingProxyType, dict[tuple[int, int], SparseRow]]:
     """The nonzero entries of a structure table, as a read-only mapping and as sparse rows.
 
     ``entries`` are ((i, j), coefficient vector) pairs, with i < j when
-    ``ordered``; both results have their keys in lexicographic order.
+    ``skew``.  The mapping keeps the entries given; the sparse rows cover every
+    ordered pair with a nonzero entry, so when ``skew`` they also hold the
+    negated row at (j, i).  Both results have their keys in lexicographic order.
     """
     pairs, rows = {}, {}
     for (i, j), v in entries:
-        if not (0 <= i < dim and 0 <= j < dim) or (ordered and i >= j):
+        if not (0 <= i < dim and 0 <= j < dim) or (skew and i >= j):
             raise IndexOutOfRange(
-                f"{what} entry ({i},{j}) needs 0 <= {'i < j' if ordered else 'i, j'} < dim"
+                f"{what} entry ({i},{j}) needs 0 <= {'i < j' if skew else 'i, j'} < dim"
             )
         w = vec(v)
         if len(w) != dim:
@@ -60,51 +61,32 @@ def _table(
         row = {k: c for k, c in enumerate(w) if c}
         if row:
             pairs[(i, j)], rows[(i, j)] = w, row
-    keys = sorted(pairs)
-    return MappingProxyType({ij: pairs[ij] for ij in keys}), {ij: rows[ij] for ij in keys}
+            if skew:
+                rows[(j, i)] = {k: -c for k, c in row.items()}
+    return (
+        MappingProxyType({ij: pairs[ij] for ij in sorted(pairs)}),
+        {ij: rows[ij] for ij in sorted(rows)},
+    )
 
 
-def _entries(x: Sequence, dim: int) -> list[tuple[int, Fraction]]:
-    """The nonzero (index, coefficient) pairs of a coefficient vector of length dim."""
+def _sparse(x: Sequence, dim: int) -> SparseRow:
+    """The nonzero entries of a coefficient vector of length dim, as a sparse row."""
     x = vec(x)
     if len(x) != dim:
         raise DimensionMismatch(f"coefficient vector of length {len(x)} for dim {dim}")
-    return [(k, c) for k, c in enumerate(x) if c]
+    return {k: c for k, c in enumerate(x) if c}
 
 
-def _bracket_terms(
-    g: HomAlgebra, x: Iterable[tuple[int, Fraction]], y: Sequence[tuple[int, Fraction]]
-) -> list[tuple[Fraction, SparseRow]]:
-    """(c, [x_p, x_q]) terms that ``combine_rows`` sums to [x, y].
-
-    x and y are given by their nonzero (index, coefficient) pairs.
-    """
-    rows = g._rows
-    terms = []
-    for p, a in x:
-        for q, b in y:
-            if p < q:
-                row = rows.get((p, q))
-                if row:
-                    terms.append((a * b, row))
-            elif q < p:
-                row = rows.get((q, p))
-                if row:
-                    terms.append((-a * b, row))
-    return terms
+def _product(rows: dict[tuple[int, int], SparseRow], u: SparseRow, v: SparseRow) -> SparseRow:
+    """The product of two sparse vectors under a table of sparse rows over ordered pairs."""
+    return combine_rows(
+        (a * b, rows[(p, q)]) for p, a in u.items() for q, b in v.items() if (p, q) in rows
+    )
 
 
-def _ad_cols(g: HomAlgebra, x: Iterable[tuple[int, Fraction]]) -> list[SparseRow]:
-    """Columns [x, x_q] of ad(x) as sparse rows, for x given by its nonzero entries."""
-    x = list(x)
-    return [combine_rows(_bracket_terms(g, x, ((q, _ONE),))) for q in range(g.dim)]
-
-
-def _skew(table: dict[tuple[int, int], SparseRow], p: int, q: int) -> SparseRow:
-    """Row (p, q) of a table kept over the pairs p < q and skew in (p, q)."""
-    if p < q:
-        return table.get((p, q), _EMPTY)
-    return {k: -x for k, x in table.get((q, p), _EMPTY).items()}
+def _ad_cols(g: HomAlgebra, x: SparseRow) -> list[SparseRow]:
+    """Columns [x, x_q] of ad(x) as sparse rows, for x a sparse vector."""
+    return [_product(g._rows, x, {q: _ONE}) for q in range(g.dim)]
 
 
 class HomAlgebra:
@@ -113,14 +95,15 @@ class HomAlgebra:
     ``bracket`` maps each basis pair (i, j) with i < j and [x_i, x_j] != 0 to
     the coefficient vector of [x_i, x_j], keys in lexicographic order; every
     other bracket of basis vectors follows by skew-symmetry, so the bracket
-    is skew by construction.  The same brackets are also kept as sparse rows,
-    from which every bracket is evaluated.
+    is skew by construction.  The brackets of every ordered pair i != j are
+    also kept as sparse rows, the table form of ``AssocAlgebra``, from which
+    every bracket is evaluated.
     """
 
     __slots__ = ("dim", "bracket", "alpha", "_rows")
 
     def __init__(self, dim: int, bracket, alpha: Matrix):
-        pairs, rows = _table(dim, bracket.items(), "bracket", ordered=True)
+        pairs, rows = _table(dim, bracket.items(), "bracket", skew=True)
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "dim", dim)
@@ -136,40 +119,24 @@ class HomAlgebra:
         """Coefficients of [x_i, x_j] for any ordered pair of basis indices."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"({i}, {j})")
-        if i < j:
-            return self.bracket.get((i, j), zero_vec(self.dim))
-        if i > j and (j, i) in self.bracket:
-            return tuple(-c if c else c for c in self.bracket[(j, i)])  # zeros reused
-        return zero_vec(self.dim)
+        return dense_row(self._rows.get((i, j), _EMPTY), self.dim)
 
     def bracket_vec(self, x: Sequence, y: Sequence) -> Vector:
-        terms = _bracket_terms(self, _entries(x, self.dim), _entries(y, self.dim))
-        return dense_row(combine_rows(terms), self.dim)
-
-    def structure_constants(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        """Every nonzero (i, j, k, c) with c the x_k coefficient of [x_i, x_j].
-
-        Both orders of each stored pair are given, with opposite signs.
-        """
-        for (i, j), row in self._rows.items():
-            for k, c in row.items():
-                yield i, j, k, c
-                yield j, i, k, -c
+        n = self.dim
+        return dense_row(_product(self._rows, _sparse(x, n), _sparse(y, n)), n)
 
     def ad_entries(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """(r, s) -> every (p, c) with c = ad_p[r][s] != 0, the x_r coefficient of [x_p, x_s]."""
         entries = {}
-        for p, s, r, c in self.structure_constants():
-            entries.setdefault((r, s), []).append((p, c))
+        for (p, s), row in self._rows.items():
+            for r, c in row.items():
+                entries.setdefault((r, s), []).append((p, c))
         return entries
 
     def ad_columns(self) -> list[list[SparseRow]]:
         """Sparse columns [x_i, x_q] of every ad(x_i), built afresh on each call."""
-        cols = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j), row in self._rows.items():
-            cols[i][j] = dict(row)
-            cols[j][i] = {k: -x for k, x in row.items()}
-        return cols
+        rows, n = self._rows, self.dim
+        return [[dict(rows.get((i, q), _EMPTY)) for q in range(n)] for i in range(n)]
 
     def ad_matrices(self) -> list[Matrix]:
         """Matrices of every [x_i, .] acting on column vectors: the dense view of ``ad_columns``."""
@@ -177,7 +144,7 @@ class HomAlgebra:
 
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""
-        cols = _ad_cols(self, _entries(x, self.dim))
+        cols = _ad_cols(self, _sparse(x, self.dim))
         return Matrix(zip(*(dense_row(c, self.dim) for c in cols)))
 
     def is_abelian(self) -> bool:
@@ -204,19 +171,22 @@ class HomAlgebra:
 def center(g: HomAlgebra) -> Subspace:
     """Center {x : [x, y] = 0 for all y}: kernel of the stacked adjoints."""
     rows = {}  # row k of ad_i, as its nonzero entries
-    for i, j, k, c in g.structure_constants():
-        rows.setdefault((i, k), {})[j] = c
+    for (i, j), row in g._rows.items():
+        for k, c in row.items():
+            rows.setdefault((i, k), {})[j] = c
     return solve_rows(rows.values(), g.dim)[1]
 
 
 def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:
-    """Brackets [left(x_i), right(x_j)] over the basis pairs i < j."""
-    lcols = [left.col(i) for i in range(g.dim)]
-    rcols = [right.col(j) for j in range(g.dim)]
+    """Brackets [left(x_i), right(x_j)] over the basis pairs i < j; both maps are dim x dim."""
+    n = g.dim
+    if left.shape != (n, n) or right.shape != (n, n):
+        raise DimensionMismatch("bracket_table maps must be dim x dim")
+    lcols, rcols = _cols(left), _cols(right)
     return {
-        (i, j): g.bracket_vec(lcols[i], rcols[j])
-        for i in range(g.dim)
-        for j in range(i + 1, g.dim)
+        (i, j): dense_row(_product(g._rows, lcols[i], rcols[j]), n)
+        for i in range(n)
+        for j in range(i + 1, n)
     }
 
 
@@ -239,7 +209,7 @@ class AssocAlgebra:
             raise DimensionMismatch("nested product lists must be dim x dim")
         else:
             entries = (((i, j), v) for i, plane in enumerate(product) for j, v in enumerate(plane))
-        pairs, rows = _table(dim, entries, "product", ordered=False)
+        pairs, rows = _table(dim, entries, "product", skew=False)
         if alpha.shape != (dim, dim):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "dim", dim)
@@ -250,16 +220,9 @@ class AssocAlgebra:
     def __setattr__(self, *_):
         raise AttributeError("AssocAlgebra is immutable")
 
-    def _mul(self, u: SparseRow, v: SparseRow) -> SparseRow:
-        """The product of two vectors given as sparse rows."""
-        rows = self._rows
-        return combine_rows(
-            (a * b, rows[(p, q)]) for p, a in u.items() for q, b in v.items() if (p, q) in rows
-        )
-
     def product_vec(self, x: Sequence, y: Sequence) -> Vector:
-        u, v = dict(_entries(x, self.dim)), dict(_entries(y, self.dim))
-        return dense_row(self._mul(u, v), self.dim)
+        n = self.dim
+        return dense_row(_product(self._rows, _sparse(x, n), _sparse(y, n)), n)
 
     def is_commutative(self) -> bool:
         rows = self._rows
@@ -310,7 +273,7 @@ class Representation:
 
     def rho_vec(self, x: Sequence) -> Matrix:
         out = Matrix.zeros(self.module_dim, self.module_dim)
-        for i, xi in _entries(x, self.algebra_dim):
+        for i, xi in _sparse(x, self.algebra_dim).items():
             out = out + self.rho[i].scale(xi)
         return out
 
@@ -370,7 +333,7 @@ def _cols(m: Matrix) -> list[SparseRow]:
 
 def _ad_alpha(g: HomAlgebra) -> list[list[SparseRow]]:
     """Sparse columns of ad(alpha(x_p)) for every p."""
-    return [_ad_cols(g, col.items()) for col in _cols(g.alpha)]
+    return [_ad_cols(g, col) for col in _cols(g.alpha)]
 
 
 def _jacobi(g: HomAlgebra, ad_alpha, i: int, j: int, k: int) -> SparseRow:
@@ -381,7 +344,7 @@ def _jacobi(g: HomAlgebra, ad_alpha, i: int, j: int, k: int) -> SparseRow:
     return combine_rows(
         (c, ad_alpha[a][r])
         for a, p, q in ((i, j, k), (j, k, i), (k, i, j))
-        for r, c in _skew(g._rows, p, q).items()
+        for r, c in g._rows.get((p, q), _EMPTY).items()
     )
 
 
@@ -396,7 +359,7 @@ def jacobiator(g: HomAlgebra, i: int, j: int, k: int) -> Vector:
 def check_hom_lie(g: HomAlgebra) -> HomLieReport:
     """Verify the twisted Jacobi identity on all basis triples.
 
-    Skew-symmetry always passes here: a HomAlgebra stores only the brackets
+    Skew-symmetry always passes here: a HomAlgebra is given only the brackets
     of pairs i < j, so it is skew by construction.  Triples none of whose
     pairs has a nonzero bracket are skipped; their Jacobiator is zero.
     """
@@ -432,7 +395,7 @@ def bracket_mismatch(
     maps = [(_cols(p), _cols(q)) for p, q in terms]
     for i in range(n - 1):
         # the sparse columns [P x_i, x_r] of ad(P x_i), with Q's columns
-        ads = [(_ad_cols(h, pc[i].items()), qc) for pc, qc in maps]
+        ads = [(_ad_cols(h, pc[i]), qc) for pc, qc in maps]
         for j in range(i + 1, n):
             rhs = combine_rows((c, ad[r]) for ad, qc in ads for r, c in qc[j].items())
             bij = g._rows.get((i, j), _EMPTY)
@@ -508,11 +471,15 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     degenerate_witness = None if nondeg else ker.vectors()[0]
     inv_witness = None
     grows, gcols = sparse_rows(gram.data), _cols(gram)
-    # B([x_p,x_q], .) and B(., [x_p,x_q]) for the stored pairs p < q
-    left = {pq: combine_rows((c, grows[k]) for k, c in v.items()) for pq, v in g._rows.items()}
-    right = {pq: combine_rows((c, gcols[k]) for k, c in v.items()) for pq, v in g._rows.items()}
+    # B([x_p,x_q], .) and B(., [x_p,x_q]) for the pairs p < q, and B([x_q,x_p], .)
+    left, right = {}, {}
+    for (p, q), v in g._rows.items():
+        if p < q:
+            row = left[(p, q)] = combine_rows((c, grows[k]) for k, c in v.items())
+            left[(q, p)] = {k: -x for k, x in row.items()}
+            right[(p, q)] = combine_rows((c, gcols[k]) for k, c in v.items())
     for i in range(n):
-        lhs = [_skew(left, i, y) for y in range(n)]  # (y,z) -> B([x_i,x_y],x_z)
+        lhs = [left.get((i, y), _EMPTY) for y in range(n)]  # (y,z) -> B([x_i,x_y],x_z)
         rhs = [{} for _ in range(n)]  # (y,z) -> B(x_i,[x_y,x_z])
         for (y, z), v in right.items():
             c = v.get(i)
@@ -543,7 +510,7 @@ def check_hom_quadratic(g: HomAlgebra, b: BilinearForm, gamma: Matrix) -> bool:
     left = sparse_rows((b.gram @ gamma).data)  # rows of (u,w) -> B(u,gamma(w))
     right = _cols(gamma.transpose() @ b.gram)  # columns of (u,w) -> B(gamma(u),w)
     for i in range(n):
-        ad = [_skew(g._rows, i, y) for y in range(n)]  # [x_i, x_y]
+        ad = [g._rows.get((i, y), _EMPTY) for y in range(n)]  # [x_i, x_y]
         lhs = [combine_rows((c, left[k]) for k, c in v.items()) for v in ad]
         rhs = [{} for _ in range(n)]
         for z, v in enumerate(ad):
@@ -650,8 +617,8 @@ def hom_associativity_witness(a: AssocAlgebra) -> Optional[tuple[int, int, int]]
     alpha = _cols(a.alpha)
     units = [{q: _ONE} for q in range(n)]
     # the sparse columns mu(a(x_i), x_q) and mu(x_p, a(x_k))
-    left = [[a._mul(alpha[i], e) for e in units] for i in range(n)]
-    right = [[a._mul(e, alpha[k]) for e in units] for k in range(n)]
+    left = [[_product(a._rows, alpha[i], e) for e in units] for i in range(n)]
+    right = [[_product(a._rows, e, alpha[k]) for e in units] for k in range(n)]
     for i in range(n):
         for j in range(n):
             pij = a._rows.get((i, j), _EMPTY)
@@ -671,7 +638,7 @@ def product_mismatch(a: AssocAlgebra, f: Matrix) -> Optional[tuple[int, int]]:
     for i in range(a.dim):
         for j in range(a.dim):
             image = combine_rows((c, cols[k]) for k, c in a._rows.get((i, j), _EMPTY).items())
-            if image != a._mul(cols[i], cols[j]):
+            if image != _product(a._rows, cols[i], cols[j]):
                 return (i, j)
     return None
 

@@ -5,10 +5,11 @@ brackets through sparse rows: the twisted Jacobi scan with its own copy of
 the Jacobiator, the quadratic invariance loop over the dense ad_i^T @ gram,
 the twisted invariance over the same products, the module axiom as full
 matrix products per basis pair, and twisted associativity per basis triple.
-Brackets come from ``basis_bracket`` alone, a lookup in the stored pairs,
-so nothing here shares code with the scans under test.  Each scan returns
-the first failing index tuple in lexicographic order, where the library
-reports one.
+Brackets come from ``dense_basis_bracket`` alone, which reads the public
+``bracket`` mapping and completes it by skew-symmetry itself, so nothing here
+shares code with the scans under test or with the sparse table behind them.
+Each scan returns the first failing index tuple in lexicographic order, where
+the library reports one.
 """
 
 from fractions import Fraction
@@ -19,24 +20,50 @@ from homlie.homalg import HomLieReport, QuadraticReport
 _ZERO = Fraction(0)
 
 
+def dense_basis_bracket(g, i, j) -> tuple:
+    """[x_i, x_j] from ``g.bracket`` alone: the stored vector for i < j, its
+    negation for i > j, and zero on the diagonal."""
+    zero = (_ZERO,) * g.dim
+    if i < j:
+        return tuple(g.bracket.get((i, j), zero))
+    if i > j:
+        return tuple(-c for c in g.bracket.get((j, i), zero))
+    return zero
+
+
 def dense_ad(g, x) -> Matrix:
-    """Matrix of [x, .] as sum of x_p ad_p, each ad_p read off basis_bracket."""
+    """Matrix of [x, .] as sum of x_p ad_p, each ad_p read off dense_basis_bracket."""
     n = g.dim
     cols = [[_ZERO] * n for _ in range(n)]
     for p, xp in enumerate(x):
         if xp:
             for q in range(n):
-                for k, c in enumerate(g.basis_bracket(p, q)):
+                for k, c in enumerate(dense_basis_bracket(g, p, q)):
                     cols[q][k] += xp * c
     return Matrix(zip(*cols))
+
+
+def dense_bracket_vec(g, x, y) -> tuple:
+    """[x, y] as the dense ad(x) applied to y."""
+    return dense_ad(g, x).apply(y)
+
+
+def dense_product_vec(a, x, y) -> tuple:
+    """The product of x and y in an AssocAlgebra, summed over ``a.product`` alone."""
+    out = [_ZERO] * a.dim
+    for (p, q), v in a.product.items():
+        if x[p] and y[q]:
+            for k, c in enumerate(v):
+                out[k] += x[p] * y[q] * c
+    return tuple(out)
 
 
 def dense_jacobiator(g, i, j, k, ad_alpha=None) -> tuple:
     """[a(x_i),[x_j,x_k]] + [a(x_j),[x_k,x_i]] + [a(x_k),[x_i,x_j]] by dense products."""
     ad = ad_alpha or {p: dense_ad(g, g.alpha.col(p)) for p in (i, j, k)}
-    t1 = ad[i].apply(g.basis_bracket(j, k))
-    t2 = ad[j].apply(g.basis_bracket(k, i))
-    t3 = ad[k].apply(g.basis_bracket(i, j))
+    t1 = ad[i].apply(dense_basis_bracket(g, j, k))
+    t2 = ad[j].apply(dense_basis_bracket(g, k, i))
+    t3 = ad[k].apply(dense_basis_bracket(g, i, j))
     return tuple(a + b + c for a, b, c in zip(t1, t2, t3))
 
 
@@ -60,7 +87,7 @@ def dense_bracket_mismatch(g, h, lhs, terms):
             rhs = [_ZERO] * h.dim
             for ad, (_, q) in zip(ads, terms):
                 rhs = [a + b for a, b in zip(rhs, ad.apply(q.col(j)))]
-            if list(lhs.apply(g.basis_bracket(i, j))) != rhs:
+            if list(lhs.apply(dense_basis_bracket(g, i, j))) != rhs:
                 return (i, j)
     return None
 
@@ -75,7 +102,9 @@ def dense_check_quadratic(g, b) -> QuadraticReport:
     inv_witness = None
     for i in range(n):
         lhs = dense_ad(g, [int(p == i) for p in range(n)]).transpose() @ gram
-        rhs = Matrix([[gram.apply(g.basis_bracket(y, z))[i] for z in range(n)] for y in range(n)])
+        rhs = Matrix(
+            [[gram.apply(dense_basis_bracket(g, y, z))[i] for z in range(n)] for y in range(n)]
+        )
         w = first_mismatch(lhs, rhs)
         if w is not None:
             inv_witness = (i,) + w
@@ -105,7 +134,7 @@ def dense_representation_witness(g, r):
     rho_alpha = [r.rho_vec(g.alpha.col(i)) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = r.rho_vec(g.basis_bracket(i, j)) @ r.beta
+            lhs = r.rho_vec(dense_basis_bracket(g, i, j)) @ r.beta
             rhs = rho_alpha[i] @ r.rho[j] - rho_alpha[j] @ r.rho[i]
             if lhs != rhs:
                 return (i, j)

@@ -2,9 +2,10 @@
 
 This is the elimination ``Matrix.rref`` used before ``homlie.exactlin`` moved
 to sparse rows, together with what was built on it: the kernel, the dense
-centroid system, the dense solver ``solve_linear``, the round-based spin-up
-and the greedy complement.  RREF is unique, so the library must agree with
-it exactly.  ``trial_divisors`` is the divisor list the rational root search
+centroid system (over the ad matrices that ``dense_structures.dense_ad_matrices``
+reads off the public ``bracket`` mapping), the dense solver ``solve_linear``,
+the round-based spin-up and the greedy complement.  RREF is unique, so the
+library must agree with it exactly.  ``trial_divisors`` is the divisor list the rational root search
 took by trial division up to the square root of its input.
 """
 
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 from homlie.errors import DimensionMismatch
 from homlie.exactlin import Matrix, unit_vec
+
+from dense_structures import dense_ad_matrices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,7 +65,7 @@ def dense_kernel(a: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int
 def dense_centroid(g) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """The centroid's RREF basis from the dense n^3 x n^2 system."""
     n = g.dim
-    ads = g.ad_matrices()
+    ads = dense_ad_matrices(g)
     rows = []
     for i in range(n):
         for r in range(n):

@@ -17,7 +17,7 @@ ideals, the choice of e, b and V, and the final rebuild.
 The dense verdict is ``homlie.analyze.simplicity_verdict`` as it was when
 operators reached the closures as dense matrices: every candidate product
 formed before the first is tested, and every closure taken over dense ad
-matrices read off ``basis_bracket``.
+matrices read off ``dense_axioms.dense_basis_bracket``.
 """
 
 import random
@@ -62,6 +62,8 @@ from homlie.homalg import (
     center,
     multiplicativity_witness,
 )
+
+from dense_axioms import dense_basis_bracket, dense_bracket_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -171,7 +173,7 @@ def dense_tensor_current(g, a, theta) -> tuple[dict, Matrix]:
     bracket = {}
     for i in range(n):
         for j in range(i + 1, n):
-            cg = g.basis_bracket(i, j)
+            cg = dense_basis_bracket(g, i, j)
             for r in range(m):
                 for s in range(m):
                     v = tuple(c * p for c in cg for p in mu[r][s])
@@ -187,7 +189,7 @@ def restrict_hom(g: HomAlgebra, w: Subspace) -> HomAlgebra:
     bracket = {}
     for a in range(k):
         for b in range(a + 1, k):
-            coords = w.coords_of(g.bracket_vec(rows[a], rows[b]))
+            coords = w.coords_of(dense_bracket_vec(g, rows[a], rows[b]))
             if coords is None:
                 raise NotSubalgebra("subspace is not closed under the bracket")
             bracket[(a, b)] = coords
@@ -293,14 +295,14 @@ def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
         raise ReconstructionFailed("twist of b has an unexpected b component")
     delta_cols = []
     for u in rows:
-        cb, coords, ce = split(g.bracket_vec(b, u))
+        cb, coords, ce = split(dense_bracket_vec(g, b, u))
         if cb != 0 or ce != 0:
             raise ReconstructionFailed("[b, V] leaves V")
         delta_cols.append(coords)
     bracket_v = {}
     for a in range(k):
         for c in range(a + 1, k):
-            cb, coords, _ = split(g.bracket_vec(rows[a], rows[c]))
+            cb, coords, _ = split(dense_bracket_vec(g, rows[a], rows[c]))
             if cb != 0:
                 raise ReconstructionFailed("[V, V] has a b component")
             bracket_v[(a, c)] = coords
@@ -322,7 +324,8 @@ def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
 
 def dense_ad_matrices(g: HomAlgebra) -> list[Matrix]:
     """Matrices of every [x_i, .], column j holding the coefficients of [x_i, x_j]."""
-    return [Matrix(zip(*(g.basis_bracket(i, j) for j in range(g.dim)))) for i in range(g.dim)]
+    n = g.dim
+    return [Matrix(zip(*(dense_basis_bracket(g, i, j) for j in range(n)))) for i in range(n)]
 
 
 def dense_closure(generators: list[Matrix], seed: Subspace) -> Subspace:

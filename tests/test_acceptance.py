@@ -16,7 +16,6 @@ from pathlib import Path
 from homlie import catalog
 from homlie import serialize as ser
 from homlie.analyze import (
-    associated_lie_algebra,
     center,
     fitting_decomposition,
     ideal_closure,
@@ -35,6 +34,7 @@ from homlie.build import (
     omega_map,
     orthogonal_sum,
     quadratic_derived,
+    untwist_involutive,
 )
 from homlie.catalog import _rand_unimodular, random_extension_data
 from homlie.exactlin import Matrix, Subspace, is_zero_vec
@@ -270,7 +270,7 @@ def test_criterion_6_trace_form_identity():
     with criterion(6, "trace form equals twisted Killing form"):
         for g in (catalog.sl_n_transpose(2).algebra, catalog.swap_double(2)):
             tf = trace_form(g)
-            killing = trace_form(associated_lie_algebra(g))
+            killing = trace_form(untwist_involutive(g)[0])
             assert tf.gram == killing.gram @ g.alpha
             assert check_quadratic(g, tf).ok
 

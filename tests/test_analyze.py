@@ -6,7 +6,6 @@ import pytest
 
 from homlie import catalog
 from homlie.analyze import (
-    associated_lie_algebra,
     center,
     centroid,
     decompose_irreducible,
@@ -30,6 +29,7 @@ from homlie.build import (
     double_extension_1d,
     orthogonal_sum,
     tstar_extension,
+    untwist_involutive,
     yau_twist,
 )
 from homlie.catalog import _nilpotent_block, _rand_unimodular
@@ -312,7 +312,7 @@ def test_trace_form_sl2_killing():
 def test_trace_form_identity_on_simple_involutive():
     for g in (catalog.sl_n_transpose(2).algebra, catalog.swap_double(2)):
         tf = trace_form(g)
-        lie = associated_lie_algebra(g)
+        lie = untwist_involutive(g)[0]
         killing = trace_form(lie)
         assert tf.gram == killing.gram @ g.alpha
         assert tf.gram == g.alpha.transpose() @ killing.gram

@@ -3,7 +3,9 @@
 Every report, witness and residual must match ``dense_axioms`` exactly, on
 passing and on failing inputs: every catalog fixture, seeded random instances
 of all four kinds, and the same algebras with a perturbed twist, form or
-module twist.
+module twist.  Every reader of the sparse bracket and product tables must
+match the same oracles, which read only the public ``bracket`` and
+``product`` mappings.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from homlie import catalog
 from homlie.build import adjoint_rep, coadjoint_rep, semidirect_sum
 from homlie.errors import NotHomAssociative, NotRepresentation
-from homlie.exactlin import Matrix
+from homlie.exactlin import Matrix, kernel
 from homlie.homalg import (
     AssocAlgebra,
     BilinearForm,
@@ -25,6 +27,7 @@ from homlie.homalg import (
     check_hom_lie,
     check_hom_quadratic,
     check_quadratic,
+    center,
     check_representation,
     commutator_hom_lie,
     hom_associativity_witness,
@@ -34,12 +37,16 @@ from homlie.homalg import (
 )
 
 from dense_axioms import (
+    dense_ad,
+    dense_basis_bracket,
     dense_bracket_mismatch,
+    dense_bracket_vec,
     dense_check_hom_lie,
     dense_check_hom_quadratic,
     dense_check_quadratic,
     dense_hom_associativity_witness,
     dense_jacobiator,
+    dense_product_vec,
     dense_representation_witness,
 )
 
@@ -193,3 +200,48 @@ def test_module_check_makes_no_matrix_product_per_pair(monkeypatch):
     assert check_representation(g, module)
     # the dense scan made three products for each of the 105 pairs
     assert len(calls) <= g.dim
+
+
+def assert_table_readers_agree(g, x, y):
+    """Every reader of g's sparse bracket table against the dense oracles."""
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            assert g.basis_bracket(i, j) == dense_basis_bracket(g, i, j)
+    assert g.ad_vec(x) == dense_ad(g, x)
+    assert g.bracket_vec(x, y) == dense_bracket_vec(g, x, y)
+    ads = [dense_ad(g, [int(p == i) for p in range(n)]) for i in range(n)]
+    assert g.ad_matrices() == ads
+    cols = g.ad_columns()
+    assert cols == [[{r: c for r, c in enumerate(m.col(q)) if c} for q in range(n)] for m in ads]
+    for col in cols[0]:  # fresh dicts: writing to them leaves the table alone
+        col[0] = Fraction(99)
+    assert g.ad_matrices() == ads
+    entries = {(r, s): [(p, ads[p][r, s]) for p in range(n) if ads[p][r, s]]
+               for r in range(n) for s in range(n)}
+    assert g.ad_entries() == {rs: v for rs, v in entries.items() if v}
+    assert center(g) == kernel(Matrix([row for m in ads for row in m.data], cols=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(
+        st.sampled_from(sorted(FIXTURES)),
+        st.tuples(st.integers(0, 10_000), st.integers(3, 9), st.sampled_from(KINDS)),
+    ),
+    q=fr,
+    data=st.data(),
+)
+def test_table_readers_match_dense_oracles(case, q, data):
+    if isinstance(case, str):
+        g, _ = split(catalog.emit(case, *FIXTURES[case]))
+    else:
+        g, _ = split(catalog.random_instance(*case))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    vectors = st.lists(entry, min_size=g.dim, max_size=g.dim)
+    assert_table_readers_agree(g, data.draw(vectors), data.draw(vectors))
+    n = data.draw(st.integers(1, 4))
+    for a in (catalog.assoc_a(q), truncated_polynomials(n, Matrix.identity(n))):
+        vectors = st.lists(entry, min_size=a.dim, max_size=a.dim)
+        x, y = data.draw(vectors), data.draw(vectors)
+        assert a.product_vec(x, y) == dense_product_vec(a, x, y)

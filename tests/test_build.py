@@ -14,6 +14,7 @@ from homlie.build import (
     centroid_twists,
     centroid_untwist,
     change_basis,
+    change_basis_quadratic,
     coadjoint_rep,
     derived_hom_algebra,
     direct_sum,
@@ -578,6 +579,14 @@ def test_double_extension_parts_rejects_a_frame_it_cannot_rebuild():
         double_extension_parts(q, *own_frame(3))
 
 
+def test_change_of_basis_rejects_a_matrix_of_the_wrong_size():
+    # an invertible matrix of another size used to raise a bare IndexError
+    with pytest.raises(DimensionMismatch):
+        change_basis(catalog.sl2(), Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        change_basis_quadratic(catalog.sl_n_transpose(2), Matrix.identity(2))
+
+
 def test_block_algebra_reads_summands_and_checks_its_range():
     a, b = catalog.sl_n_transpose(2), abelian_quadratic(2)
     s = orthogonal_sum(a, b)
@@ -663,8 +672,6 @@ def test_involutive_extension_literal_vs_corrected():
 # -- misc plumbing ------------------------------------------------------------
 
 def test_change_basis_roundtrip():
-    from homlie.build import change_basis_quadratic
-
     rng = random.Random(3)
     q = catalog.sl_n_transpose(2)
     p = catalog._rand_unimodular(rng, 3)

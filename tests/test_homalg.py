@@ -20,6 +20,7 @@ from homlie.homalg import (
     check_hom_quadratic,
     check_morphism,
     check_quadratic,
+    bracket_table,
     check_representation,
     classify_alpha,
     commutator_hom_lie,
@@ -322,6 +323,22 @@ def test_rho_vec_rejects_wrong_lengths():
         with pytest.raises(DimensionMismatch):
             rep.rho_vec(x)
     assert rep.rho_vec([1, 0, 0]) == rep.rho[0]
+
+
+def test_bracket_table_rejects_maps_of_the_wrong_shape():
+    # a map with too few columns or rows used to raise a bare IndexError
+    g = catalog.sl2()
+    for left, right in (
+        (Matrix.zeros(3, 2), Matrix.identity(3)),
+        (Matrix.identity(3), Matrix.zeros(2, 3)),
+        (Matrix.identity(2), Matrix.identity(2)),
+        (Matrix.identity(4), Matrix.identity(4)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            bracket_table(g, left, right)
+    e = Matrix.identity(3)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    assert bracket_table(g, e, e) == {(i, j): g.basis_bracket(i, j) for i, j in pairs}
 
 
 def test_check_morphism_identity_and_zero():

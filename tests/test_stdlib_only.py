@@ -1,8 +1,9 @@
 """Import rules of the library.
 
 It imports nothing outside the standard library (``dependencies = []``),
-and no module imports a private ``_name`` from another homlie module: a
-helper that modules share is public and documented.
+no module imports a private ``_name`` from another homlie module (a helper
+that modules share is public and documented), and every import sits at module
+level, so none runs again on each call.
 """
 
 import ast
@@ -48,3 +49,19 @@ def test_imports_no_private_homlie_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     private = sorted(set(_private_homlie_names(tree)))
     assert private == [], f"{path.name} imports private names {private}"
+
+
+def _function_imports(tree):
+    """Line numbers of the imports inside a function body."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = sorted(set(_function_imports(tree)))
+    assert lines == [], f"{path.name} imports inside a function at lines {lines}"
