@@ -59,6 +59,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 SIMPLICITY_STREAM_SEED = 0x484F4D21
+# pseudorandom seed vectors, and random certificate candidates, per verdict
+SIMPLICITY_BUDGET = 24
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +299,12 @@ class SimplicityVerdict:
     witness: Optional[Subspace] = None
 
 
-def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
+def simplicity_verdict(g: HomAlgebra) -> SimplicityVerdict:
     """Decide simplicity where possible.
 
     NotSimple: zero commutator, or some seed vector generates a proper
     nonzero ideal (seeds: basis vectors, rational twist eigenvectors,
-    bracket values, and ``budget`` vectors from a fixed pseudorandom stream).
+    bracket values, and ``SIMPLICITY_BUDGET`` vectors from a fixed pseudorandom stream).
     Simple: every seed closure is full and some element of the enveloping
     algebra of the adjoints and the twist has a one-dimensional eigenspace
     whose spin-up, together with its transposed counterpart, is full
@@ -316,7 +318,7 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     for _, eig in rational_eigenpairs(g.alpha):
         seeds.extend(eig.vectors())
     seeds.extend(g.bracket.values())
-    for _ in range(budget):
+    for _ in range(SIMPLICITY_BUDGET):
         seeds.append(
             tuple(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2))) for _ in range(n))
         )
@@ -335,12 +337,11 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     # certificate search: an enveloping-algebra element with nullity one
     gens = g.ad_matrices() + [g.alpha]
     tgens = [sparse_rows(m.data) for m in gens]  # the sparse columns of each transpose
-    for z in _certificate_candidates(gens, budget, rng):
+    for z in _certificate_candidates(gens, rng):
         for lam, eig in rational_eigenpairs(z):
             if eig.dim != 1:
                 continue
-            v = eig.vectors()[0]
-            spin = ideal_closure(g, Subspace.from_vectors(n, [v]))
+            spin = ideal_closure(g, eig)
             if spin.dim < n:
                 return SimplicityVerdict("NotSimple", spin)
             shifted = z - Matrix.identity(n).scale(lam)
@@ -357,10 +358,10 @@ def simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdict:
     return SimplicityVerdict("Unknown")
 
 
-def _certificate_candidates(gens: list[Matrix], budget: int, rng: random.Random):
+def _certificate_candidates(gens: list[Matrix], rng: random.Random):
     """Each candidate of the certificate search, formed only when the search reaches it.
 
-    The generators, then every product a @ b, then ``budget`` sums of three
+    The generators, then every product a @ b, then ``SIMPLICITY_BUDGET`` sums of three
     candidates made so far, drawn from rng with coefficients in -3..3.
     """
     made = []
@@ -368,7 +369,7 @@ def _certificate_candidates(gens: list[Matrix], budget: int, rng: random.Random)
         made.append(z)
         yield z
     zero = Matrix.zeros(gens[0].rows, gens[0].cols)
-    for _ in range(budget):
+    for _ in range(SIMPLICITY_BUDGET):
         made.append(sum((rng.choice(made).scale(Fraction(rng.randrange(-3, 4))) for _ in range(3)), zero))
         yield made[-1]
 

@@ -388,6 +388,8 @@ def tstar_extension(g: HomAlgebra) -> QuadraticHomAlgebra:
 
 def omega_map(g: HomAlgebra, a: Matrix) -> tuple[QuadraticHomAlgebra, Matrix]:
     """T*-extension of a Lie algebra and the map acting as a on g, a^T on g*."""
+    if a.shape != (g.dim, g.dim):
+        raise DimensionMismatch(f"a must be {g.dim} x {g.dim}, got {a.rows} x {a.cols}")
     tstar = tstar_extension(g)
     omega = Matrix.block_diagonal([a, a.transpose()])
     return tstar, omega
@@ -434,7 +436,9 @@ def tensor_current(
         AssocAlgebra(a.dim, a.product, Matrix.identity(a.dim))
     ):
         raise NotCommutativeAssociative("A must be commutative associative")
-    if theta.shape != (a.dim, a.dim) or theta.inverse() is None:
+    if theta.shape != (a.dim, a.dim):
+        raise DimensionMismatch(f"theta must be {a.dim} x {a.dim}, got {theta.rows} x {theta.cols}")
+    if theta.inverse() is None:
         raise NotAutomorphism("theta must be invertible on A")
     w = product_mismatch(a, theta)
     if w is not None:
@@ -464,7 +468,8 @@ def tensor_current(
     lie = HomAlgebra(dim, bracket, Matrix.identity(dim))
     theta_tilde = Matrix.block_diagonal([theta] * g.dim)
     z = center(lie)
-    big_defect = theta_tilde @ theta_tilde - Matrix.identity(dim)
+    # theta_tilde = diag(theta, ..., theta), so its square defect is diag(defect, ..., defect)
+    big_defect = Matrix.block_diagonal([defect] * g.dim)
     for j in range(dim):
         col = big_defect.col(j)
         if not z.contains_vector(col):

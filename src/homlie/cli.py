@@ -110,10 +110,15 @@ class Reporter:
         return 0 if all(c["passed"] for c in self.checks) else 1
 
 
+def _need(part, message: str):
+    """A part of a parsed file, or malformed input (exit 2) when the file lacks it."""
+    if part is None:
+        raise ser.ParseError(message)
+    return part
+
+
 def _need_algebra(parsed: ser.ParsedFile):
-    if parsed.algebra is None:
-        raise ser.ParseError("expected a Hom-Lie algebra file, found an associative one")
-    return parsed.algebra
+    return _need(parsed.algebra, "expected a Hom-Lie algebra file, found an associative one")
 
 
 def _cmd_check(args) -> int:
@@ -125,10 +130,7 @@ def _cmd_check(args) -> int:
     rep.check("skew", hl.skew, hl.skew_witness)
     rep.check("hom_jacobi", hl.hom_jacobi, hl.jacobi_witness, hl.jacobi_residual, names)
     if args.quadratic:
-        if parsed.form is None:
-            print("error: --quadratic needs a form in the file", file=sys.stderr)
-            return 2
-        q = check_quadratic(g, parsed.form)
+        q = check_quadratic(g, _need(parsed.form, "--quadratic needs a form in the file"))
         rep.check("symmetric", q.symmetric, q.symmetric_witness)
         rep.check(
             "nondegenerate",
@@ -191,10 +193,7 @@ def _cmd_analyze(args) -> int:
             for row in verdict.witness.vectors():
                 rep.text(f"  {_lincomb(row, names)}")
     elif op in ("fitting", "decompose", "recognize-dext"):
-        if parsed.form is None:
-            print(f"error: {op} needs a form in the file", file=sys.stderr)
-            return 2
-        q = QuadraticHomAlgebra(g, parsed.form)
+        q = QuadraticHomAlgebra(g, _need(parsed.form, f"{op} needs a form in the file"))
         if op == "fitting":
             fs = an.fitting_decomposition(q)
             rep.text(f"fitting: stable power {fs.n}")
@@ -257,30 +256,21 @@ def _cmd_construct(args) -> int:
         q = bd.omega_extension(g)
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "double-ext":
-        if parsed.form is None:
-            print("error: double-ext needs a form in the base file", file=sys.stderr)
-            return 2
+        form = _need(parsed.form, "double-ext needs a form in the base file")
         data = ser.parse_extension_data(_load_json(args.data), g.dim)
-        q = bd.double_extension_1d(QuadraticHomAlgebra(g, parsed.form), data)
+        q = bd.double_extension_1d(QuadraticHomAlgebra(g, form), data)
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "inv-double-ext":
-        if parsed.form is None:
-            print("error: inv-double-ext needs a form in the base file", file=sys.stderr)
-            return 2
+        form = _need(parsed.form, "inv-double-ext needs a form in the base file")
         other = _need_algebra(ser.load_path(args.algebra))
         data = ser.parse_inv_extension_data(_load_json(args.data), g.dim, other.dim)
-        q = bd.involutive_double_extension(
-            QuadraticHomAlgebra(g, parsed.form), other, data
-        )
+        q = bd.involutive_double_extension(QuadraticHomAlgebra(g, form), other, data)
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "tensor-current":
-        aparsed = ser.load_path(args.algebra)
-        if aparsed.assoc is None:
-            print("error: tensor-current needs an associative algebra file", file=sys.stderr)
-            return 2
-        lie, theta = bd.tensor_current(
-            g.with_alpha(Matrix.identity(g.dim)), aparsed.assoc, aparsed.assoc.alpha
+        assoc = _need(
+            ser.load_path(args.algebra).assoc, "tensor-current needs an associative algebra file"
         )
+        lie, theta = bd.tensor_current(g.with_alpha(Matrix.identity(g.dim)), assoc, assoc.alpha)
         _write_algebra(rep, args.out, lie.with_alpha(theta))
     elif op == "untwist":
         out = bd.untwist_regular(g)

@@ -188,11 +188,6 @@ class Matrix:
             cols=self.cols + other.cols,
         )
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        return Matrix(list(self.data) + list(other.data), cols=self.cols)
-
     # predicates ------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
@@ -393,38 +388,40 @@ def solve_rows(
         for f, x in row.items():
             if f != p and f < ncols:
                 null[f][p] = -x
-    basis, kpivots = _reduce(null.values())
-    return particular, Subspace._canonical(ncols, [dense_row(r, ncols) for r in basis], kpivots)
+    return particular, Subspace._canonical(ncols, *_reduce(null.values()))
 
 
 class Subspace:
     """Subspace of Q^n stored as an RREF basis matrix with no zero rows.
 
-    ``pivots[r]`` is the pivot column of basis row r.
+    ``pivots[r]`` is the pivot column of basis row r.  The private ``_rows``
+    hold the same basis as the sparse rows the elimination kernel made; the
+    readers reduce against them and never write them.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         # a basis with no rows may come without a width, as Matrix([]) does
         if basis.rows and basis.cols != ambient_dim:
             raise DimensionMismatch("basis vectors must match ambient dimension")
-        rows, pivots = _reduce(sparse_rows(basis.data))
-        self._set(ambient_dim, [dense_row(r, ambient_dim) for r in rows], pivots)
+        self._set(ambient_dim, *_reduce(sparse_rows(basis.data)))
 
-    def _set(self, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]):
+    def _set(self, ambient_dim: int, rows: Sequence[dict[int, Fraction]], pivots: Iterable[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix(rows) if rows else Matrix.zeros(0, ambient_dim))
+        dense = [dense_row(r, ambient_dim) for r in rows]
+        object.__setattr__(self, "basis", Matrix(dense) if dense else Matrix.zeros(0, ambient_dim))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def _canonical(
-        cls, ambient_dim: int, rows: Sequence[Sequence[Fraction]], pivots: Iterable[int]
+        cls, ambient_dim: int, rows: Sequence[dict[int, Fraction]], pivots: Iterable[int]
     ) -> "Subspace":
-        """The subspace whose RREF basis, without zero rows, is already known."""
+        """The subspace whose RREF basis, as sparse rows without zero rows, is known; it keeps them."""
         space = object.__new__(cls)
         space._set(ambient_dim, rows, pivots)
         return space
@@ -440,7 +437,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         n = ambient_dim
-        return cls._canonical(n, [unit_vec(n, i) for i in range(n)], range(n))
+        return cls._canonical(n, [{i: _ONE} for i in range(n)], range(n))
 
     @property
     def dim(self) -> int:
@@ -456,12 +453,11 @@ class Subspace:
         return self.basis.data
 
     def contains_vector(self, v: Sequence) -> bool:
-        """Is v in the subspace: does it reduce to zero against a copy of the basis's echelon."""
+        """Is v in the subspace: does it reduce to zero against a shallow copy of the basis echelon."""
         w = vec(v)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        echelon = dict(zip(self.pivots, sparse_rows(self.basis.data)))
-        return _insert_row(echelon, sparse_rows([w])[0]) is None
+        return _insert_row(dict(zip(self.pivots, self._rows)), sparse_rows([w])[0]) is None
 
     def coords_of(self, v: Sequence) -> tuple[Fraction, ...] | None:
         """Coefficients of v in the basis rows, or None if v is outside.
@@ -475,21 +471,25 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(self.contains_vector(r) for r in other.basis.data)
+        echelon = dict(zip(self.pivots, self._rows))
+        return all(_insert_row(echelon, dict(r)) is None for r in other._rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace(self.ambient_dim, self.basis.vstack(other.basis))
+        rows = [dict(r) for r in self._rows + other._rows]
+        return Subspace._canonical(self.ambient_dim, *_reduce(rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref of [U|U; V|0], rows with zero left half span U cap V."""
+        """Zassenhaus: U cap V read off rref[U|U; V|0].
+
+        Its rows with a pivot at n or beyond, shifted left by n, are the RREF of U cap V.
+        """
         self._same_ambient(other)
         n = self.ambient_dim
-        top = self.basis.hstack(self.basis)
-        bottom = other.basis.hstack(Matrix.zeros(other.dim, n))
-        red, _ = top.vstack(bottom).rref()
-        inter = [r[n:] for r in red.data if is_zero_vec(r[:n]) and not is_zero_vec(r[n:])]
-        return Subspace.from_vectors(n, inter)
+        top = [{**r, **{n + c: x for c, x in r.items()}} for r in self._rows]
+        reduced, pivots = _reduce(top + [dict(r) for r in other._rows])
+        rows = [{c - n: x for c, x in r.items()} for r, p in zip(reduced, pivots) if p >= n]
+        return Subspace._canonical(n, rows, [p - n for p in pivots if p >= n])
 
     def complement(self) -> "Subspace":
         """Some subspace w with self + w = ambient and self cap w = 0.
@@ -498,9 +498,9 @@ class Subspace:
         e_j chosen before it.
         """
         n = self.ambient_dim
-        echelon = dict(zip(self.pivots, sparse_rows(self.basis.data)))
+        echelon = dict(zip(self.pivots, self._rows))
         chosen = [i for i in range(n) if _insert_row(echelon, {i: _ONE}) is not None]
-        return Subspace._canonical(n, [unit_vec(n, i) for i in chosen], chosen)
+        return Subspace._canonical(n, [{i: _ONE} for i in chosen], chosen)
 
     def __eq__(self, other) -> bool:
         return (
@@ -539,7 +539,8 @@ def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace)
         raise DimensionMismatch(f"spin_up needs generators of {n} sparse columns in Q^{n}")
     if seed.is_zero():
         return seed
-    echelon = dict(zip(seed.pivots, sparse_rows(seed.basis.data)))
+    # copies: the back-substitution below writes to the pivot rows
+    echelon = {p: dict(r) for p, r in zip(seed.pivots, seed._rows)}
     todo = list(echelon.values())
     while todo and len(echelon) < n:
         row = todo.pop()
@@ -550,8 +551,7 @@ def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace)
     if len(echelon) == n:
         return Subspace.full(n)
     # the pivot rows are reduced against each other already, so this only back-substitutes
-    basis, pivots = _reduce(echelon.values())
-    return Subspace._canonical(n, [dense_row(r, n) for r in basis], pivots)
+    return Subspace._canonical(n, *_reduce(echelon.values()))
 
 
 def column_space(a: Matrix) -> Subspace:

@@ -4,15 +4,16 @@ This is the elimination ``Matrix.rref`` used before ``homlie.exactlin`` moved
 to sparse rows, together with what was built on it: the kernel, the dense
 centroid system (over the ad matrices that ``dense_structures.dense_ad_matrices``
 reads off the public ``bracket`` mapping), the dense solver ``solve_linear``,
-the round-based spin-up and the greedy complement.  RREF is unique, so the
-library must agree with it exactly.  ``trial_divisors`` is the divisor list the rational root search
-took by trial division up to the square root of its input.
+the round-based spin-up, the greedy complement and the Zassenhaus
+intersection.  RREF is unique, so the library must agree with it exactly.
+``trial_divisors`` is the divisor list the rational root search took by
+trial division up to the square root of its input.
 """
 
 from fractions import Fraction
 
 from homlie.errors import DimensionMismatch
-from homlie.exactlin import Matrix, unit_vec
+from homlie.exactlin import Matrix, unit_vec, zero_vec
 
 from dense_structures import dense_ad_matrices
 
@@ -128,6 +129,21 @@ def dense_complement(space) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int
             chosen.append(e)
             current.append(e)
     return dense_span(chosen, n)
+
+
+def dense_intersection(u, v) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """RREF basis rows and pivots of u cap v, from the dense RREF of [U|U; V|0].
+
+    The rows whose pivot lies in the right half have a zero left half; their
+    right halves span u cap v (Zassenhaus).
+    """
+    n = u.ambient_dim
+    rows = [r + r for r in u.vectors()] + [r + zero_vec(n) for r in v.vectors()]
+    if not rows:
+        return (), ()
+    red, pivots = dense_rref(Matrix(rows, cols=2 * n))
+    k = sum(p < n for p in pivots)
+    return tuple(r[n:] for r in red.data[k : len(pivots)]), tuple(p - n for p in pivots[k:])
 
 
 def trial_divisors(n: int) -> list[int]:

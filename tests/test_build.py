@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie import catalog
+from homlie import build, catalog
 from homlie.build import (
     ExtensionData1D,
     InvolutiveExtensionData,
@@ -585,6 +585,21 @@ def test_change_of_basis_rejects_a_matrix_of_the_wrong_size():
         change_basis(catalog.sl2(), Matrix.identity(2))
     with pytest.raises(DimensionMismatch):
         change_basis_quadratic(catalog.sl_n_transpose(2), Matrix.identity(2))
+
+
+def test_omega_map_and_tensor_current_reject_maps_of_the_wrong_size(monkeypatch):
+    # omega_map used to return a 4 x 4 omega for a 2 x 2 map on the 3-dimensional sl2,
+    # and tensor_current reported a theta of the wrong size as not invertible
+    def no_tstar(g):
+        raise AssertionError("T*-extension built before the shape check")
+
+    monkeypatch.setattr(build, "tstar_extension", no_tstar)
+    for a in (Matrix.identity(2), Matrix.identity(4), Matrix.zeros(3, 2)):
+        with pytest.raises(DimensionMismatch):
+            omega_map(catalog.sl2(), a)
+    for theta in (Matrix.identity(3), Matrix.identity(5), Matrix.zeros(4, 3)):
+        with pytest.raises(DimensionMismatch):
+            tensor_current(catalog.sl2(), catalog.assoc_a(1), theta)
 
 
 def test_block_algebra_reads_summands_and_checks_its_range():

@@ -262,6 +262,35 @@ def test_cli_usage_errors(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check", "sl2.json", "--quadratic"], "--quadratic needs a form in the file"),
+        (["analyze", "fitting", "sl2.json"], "fitting needs a form in the file"),
+        (["analyze", "decompose", "sl2.json"], "decompose needs a form in the file"),
+        (["analyze", "recognize-dext", "sl2.json"], "recognize-dext needs a form in the file"),
+        (
+            ["construct", "double-ext", "sl2.json", "sl2.json", "--out", "x.json"],
+            "double-ext needs a form in the base file",
+        ),
+        (
+            ["construct", "inv-double-ext", "sl2.json", "sl2.json", "sl2.json", "--out", "x.json"],
+            "inv-double-ext needs a form in the base file",
+        ),
+        (
+            ["construct", "tensor-current", "sl2.json", "sl2.json", "--out", "x.json"],
+            "tensor-current needs an associative algebra file",
+        ),
+    ],
+)
+def test_cli_missing_file_part_is_malformed_input(tmp_path, args, message, json_flag):
+    ser.save_path(tmp_path / "sl2.json", ser.algebra_to_dict(catalog.sl2()))
+    r = run_cli(args + json_flag, tmp_path)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_construct_pipeline(tmp_path):
     r = run_cli(["catalog", "emit", "heis3", "--out", "h.json"], tmp_path)
     assert r.returncode == 0, r.stderr

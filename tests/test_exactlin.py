@@ -20,9 +20,11 @@ from homlie.exactlin import (
 
 from dense_elimination import (
     dense_complement,
+    dense_intersection,
     dense_kernel,
     dense_rref,
     dense_solve,
+    dense_span,
     dense_spin_up,
     trial_divisors,
 )
@@ -176,6 +178,31 @@ def test_intersection_trivial():
     assert u.intersect(v) == Subspace.zero(3)
 
 
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of one Q^n; v also takes combinations of u's rows, so they often meet."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(Fraction(0)), fractions_st)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
+    a, b = draw(rows), draw(rows)
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)), max_size=2))
+    b += [[sum((c * r[j] for c, r in zip(combo, a)), Fraction(0)) for j in range(n)] for combo in combos]
+    return Subspace(n, Matrix(a, cols=n)), Subspace(n, Matrix(b, cols=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pairs())
+@example((Subspace.zero(3), Subspace.full(3)))
+@example((Subspace.full(3), Subspace.full(3)))
+@example((Subspace.zero(0), Subspace.zero(0)))
+@example((Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 1]]), Subspace.from_vectors(3, [[1, 2, 1]])))
+def test_intersect_matches_dense_zassenhaus(pair):
+    u, v = pair
+    for a, b in ((u, v), (v, u), (u, u), (v, v)):
+        w = a.intersect(b)
+        assert (w.basis.data, w.pivots) == dense_intersection(a, b)
+
+
 def test_contains_and_complement():
     u = Subspace.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 0]])
     w = u.complement()
@@ -278,10 +305,23 @@ def test_spin_up_checks_its_generators_before_a_zero_seed():
         spin_up([[{0: Fraction(1)}]], Subspace.zero(0))
 
 
+def two_planes():
+    """Two planes of Q^4 that meet in a line; neither basis is made of unit vectors."""
+    return (
+        Subspace.from_vectors(4, [[1, 2, 0, 3], [0, 1, 1, 1]]),
+        Subspace.from_vectors(4, [[1, 3, 1, 4], [2, 0, 1, 0]]),
+    )
+
+
 def test_spin_up_and_complement_skip_subspace_reduction(monkeypatch):
+    """spin_up, complement, sum and intersect reduce sparse rows, never a dense basis."""
     cases = _spin_edge_cases()
     spun = [dense_spin_up(gens, seed) for gens, seed in cases]
     complements = [dense_complement(seed) for _, seed in cases]
+    seeds = [seed for _, seed in cases] + list(two_planes())
+    pairs = [(u, v) for u in seeds for v in seeds if u.ambient_dim == v.ambient_dim]
+    sums = [dense_span(u.vectors() + v.vectors(), u.ambient_dim) for u, v in pairs]
+    meets = [dense_intersection(u, v) for u, v in pairs]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Subspace.__init__ or Matrix.rref called")
@@ -290,8 +330,34 @@ def test_spin_up_and_complement_skip_subspace_reduction(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", forbidden)
     got_spun = [spin_up(columns(gens), seed) for gens, seed in cases]
     got_complements = [seed.complement() for _, seed in cases]
+    got_sums = [u.sum(v) for u, v in pairs]
+    got_meets = [u.intersect(v) for u, v in pairs]
     assert [(s.basis.data, s.pivots) for s in got_spun] == spun
     assert [(s.basis.data, s.pivots) for s in got_complements] == complements
+    assert [(s.basis.data, s.pivots) for s in got_sums] == sums
+    assert [(s.basis.data, s.pivots) for s in got_meets] == meets
+
+
+def test_subspace_operations_leave_their_operands_unchanged():
+    # spin_up, complement, sum and intersect start from the operands' own sparse rows;
+    # the elimination writes the rows it reduces and back-substitutes into
+    a, b = two_planes()
+    probes = [list(r) for r in Matrix.identity(4).data] + [[1, 2, 0, 3], [1, 3, 1, 4], [2, 5, 1, 7]]
+    answers = [[s.contains_vector(p) for p in probes] for s in (a, b)]
+    # e_2 -> e_2: the spin-up of either plane is proper and back-substitutes into its rows
+    project = columns([Matrix.diagonal([0, 0, 1, 0])])
+
+    def operations():
+        return [
+            spin_up(project, a), spin_up(project, b), a.complement(), b.complement(),
+            a.sum(b), b.sum(a), a.intersect(b), b.intersect(a),
+        ]
+
+    first = operations()
+    assert [[s.contains_vector(p) for p in probes] for s in (a, b)] == answers
+    for s in (a, b):
+        assert s == Subspace(4, s.basis) and s.pivots == Subspace(4, s.basis).pivots
+    assert operations() == first
 
 
 @settings(max_examples=60, deadline=None)
