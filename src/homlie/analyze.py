@@ -27,7 +27,6 @@ from .errors import (
     NoIsotropicCentralVector,
     NoRationalCentralEigenvector,
     NotAnIdeal,
-    NotMultiplicative,
     NotSubalgebra,
     PreconditionFailed,
     ReconstructionFailed,
@@ -52,7 +51,7 @@ from .homalg import (
     QuadraticHomAlgebra,
     center,
     is_multiplicative,
-    multiplicativity_witness,
+    require_multiplicative,
 )
 
 _ZERO = Fraction(0)
@@ -142,9 +141,7 @@ def fitting_decomposition(q: QuadraticHomAlgebra) -> FittingSplit:
     mechanically before returning.
     """
     g = q.algebra
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    require_multiplicative(g)
     n, ker_part, im_part = kernel_image_power(g.alpha)
     for name, part in (("kernel", ker_part), ("image", im_part)):
         if not is_ideal(g, part):
@@ -159,57 +156,59 @@ def fitting_decomposition(q: QuadraticHomAlgebra) -> FittingSplit:
 
 
 def decompose_irreducible(
-    q: QuadraticHomAlgebra, with_bases: bool = False
-):
+    q: QuadraticHomAlgebra,
+) -> list[tuple[Subspace, QuadraticHomAlgebra]]:
     """Recursive orthogonal splitting along nondegenerate candidate ideals.
 
-    The candidate family is finite (Fitting parts, center, derived ideal,
-    their orthogonals, twist eigenspace closures); summands are irreducible
-    relative to this family.  With ``with_bases`` each summand is paired with
-    the subspace of the original algebra it restricts.
+    Returns (subspace, summand) pairs: each summand is q restricted to its
+    subspace of q's space.  Summands are irreducible relative to the finite
+    family of ``_candidate_ideals``; each split is verified by
+    ``orthogonal_ideal``.
     """
-    pairs = _decompose(q, Subspace.full(q.dim), q)
-    if with_bases:
-        return pairs
-    return [alg for _, alg in pairs]
+    return _decompose(q, Subspace.full(q.dim))
 
 
-def _candidate_ideals(q: QuadraticHomAlgebra) -> list[Subspace]:
+def _candidate_ideals(q: QuadraticHomAlgebra):
+    """Each candidate ideal of q, formed only when the search reaches it.
+
+    In order: ker(alpha^n) for the Fitting power n when alpha is
+    multiplicative, the closures of the center and of the derived span, and
+    the closures of the rational twist eigenspaces; each proper nonzero one
+    once.  Every candidate C is an ideal, so its orthogonal C-perp is one
+    too (the form is invariant and twist-symmetric), and C-perp is
+    nondegenerate exactly when C is: on both, the radical of the form is the
+    intersection of C and C-perp.  So no orthogonal, nor the Fitting image
+    (the orthogonal of the Fitting kernel), could split before its own
+    ideal, and none is formed.
+    """
     g = q.algebra
-    cands = []
-    if is_multiplicative(g):
-        _, ker_part, im_part = kernel_image_power(g.alpha)
-        cands += [ker_part, im_part]
-    z = center(g)
-    derived = Subspace.from_vectors(g.dim, g.bracket.values())
-    cands += [ideal_closure(g, z), ideal_closure(g, derived)]
-    cands += [orthogonal_subspace(q, c) for c in list(cands)]
-    for _, eig in rational_eigenpairs(g.alpha):
-        cands.append(ideal_closure(g, eig))
-    out = []
-    for c in cands:
-        if 0 < c.dim < q.dim and c not in out:
-            out.append(c)
-    return out
+
+    def formed():
+        if is_multiplicative(g):
+            yield kernel_image_power(g.alpha)[1]
+        yield ideal_closure(g, center(g))
+        yield ideal_closure(g, Subspace.from_vectors(g.dim, g.bracket.values()))
+        for _, eig in rational_eigenpairs(g.alpha):
+            yield ideal_closure(g, eig)
+
+    seen = []
+    for c in formed():
+        if 0 < c.dim < q.dim and c not in seen:
+            seen.append(c)
+            yield c
 
 
-def _decompose(q, embedding, original):
+def _decompose(q: QuadraticHomAlgebra, embedding: Subspace):
     for cand in _candidate_ideals(q):
-        if not is_ideal(q.algebra, cand):
-            continue
         sub_gram = cand.basis @ q.gram @ cand.basis.transpose()
         if sub_gram.rank() != cand.dim:
             continue
-        orth = orthogonal_subspace(q, cand)
-        if not is_ideal(q.algebra, orth):
-            continue
+        orth = orthogonal_ideal(q, cand)
         t = change_basis_quadratic(q, Matrix(cand.vectors() + orth.vectors()).transpose())
         left = block_algebra(t, 0, cand.dim)
         right = block_algebra(t, cand.dim, q.dim)
-        lift_left = _compose_embedding(embedding, cand)
-        lift_right = _compose_embedding(embedding, orth)
-        return _decompose(left, lift_left, original) + _decompose(
-            right, lift_right, original
+        return _decompose(left, _compose_embedding(embedding, cand)) + _decompose(
+            right, _compose_embedding(embedding, orth)
         )
     return [(embedding, q)]
 
@@ -440,9 +439,7 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     reconstruction exactly (``build.double_extension_parts``).
     """
     g = q.algebra
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    require_multiplicative(g)
     if q.dim < 3:
         raise PreconditionFailed("dimension must be at least 3")
     z = center(g)

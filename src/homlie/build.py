@@ -25,7 +25,6 @@ from .errors import (
     NotInCentroid,
     NotInvolutive,
     NotLie,
-    NotMultiplicative,
     NotRegular,
     NotRepresentation,
     NotSymmetric,
@@ -36,7 +35,6 @@ from .exactlin import (
     first_mismatch,
     frac,
     is_zero_vec,
-    solve_rows,
     unit_vec,
     vec,
     zero_vec,
@@ -47,6 +45,7 @@ from .homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
+    annihilator,
     bracket_mismatch,
     bracket_table,
     center,
@@ -55,9 +54,9 @@ from .homalg import (
     check_quadratic,
     check_representation,
     is_multiplicative,
-    multiplicativity_witness,
     product_mismatch,
     representation_witness,
+    require_multiplicative,
 )
 
 _ONE = Fraction(1)
@@ -219,9 +218,7 @@ def derived_hom_algebra(g: HomAlgebra, n: int) -> HomAlgebra:
     """n-th derived Hom-algebra: bracket a^n o [.,.], twist a^(n+1)."""
     if n < 0:
         raise ValueError("derived index must be >= 0")
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    require_multiplicative(g)
     return HomAlgebra(g.dim, _mapped(g.alpha.power(n), g.bracket), g.alpha.power(n + 1))
 
 
@@ -263,9 +260,7 @@ def untwist_involutive(
     """
     if not h.alpha.power(2).is_identity():
         raise NotInvolutive("twist map squared is not the identity")
-    w = multiplicativity_witness(h)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    require_multiplicative(h)
     n = h.dim
     theta = h.alpha
     lie = HomAlgebra(n, bracket_table(h, theta, theta), Matrix.identity(n))
@@ -359,9 +354,7 @@ def quadratic_yau_twist(q: QuadraticHomAlgebra, endo: Matrix) -> QuadraticHomAlg
 def quadratic_derived(q: QuadraticHomAlgebra, n: int) -> QuadraticHomAlgebra:
     """n-th derived algebra of a regular multiplicative quadratic Hom-Lie algebra."""
     g = q.algebra
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("twist map is not a bracket morphism", witness=w)
+    require_multiplicative(g)
     if g.alpha.inverse() is None:
         raise NotRegular("twist map must be invertible")
     alg = derived_hom_algebra(g, n)
@@ -443,14 +436,8 @@ def tensor_current(
     w = product_mismatch(a, theta)
     if w is not None:
         raise NotAutomorphism("theta does not preserve the product", witness=w)
-    # annihilator: x with x . a_j = 0 for all j, one equation per (j, k)
     m = a.dim
-    eqs = {}
-    for (i, j), v in a.product.items():
-        for k, c in enumerate(v):
-            if c:
-                eqs.setdefault((j, k), {})[i] = c
-    ann = solve_rows(eqs.values(), m)[1]
+    ann = annihilator(a)
     defect = theta @ theta - Matrix.identity(m)
     for j in range(m):
         col = defect.col(j)
@@ -556,9 +543,7 @@ def double_extension_1d(
     a(b) = lam b + x0 + lam0 e, a(x) = a_V(x) + B(x0,x) e, a(e) = lam e.
     """
     g = v.algebra
-    w = multiplicativity_witness(g)
-    if w is not None:
-        raise NotMultiplicative("base twist is not a bracket morphism", witness=w)
+    require_multiplicative(g, what="base twist")
     bad = double_extension_conditions(v, d)
     if bad:
         name, witness = bad[0]

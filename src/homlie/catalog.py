@@ -459,8 +459,11 @@ def random_extension_data(
     Draws delta from the exact solution space of the linear constraints and
     filters through the full condition set (the remaining conditions are not
     linear in delta).  With ``involutive`` the scalar lam0 is pinned to the
-    involution-compatible value, otherwise it is drawn at random.
+    involution-compatible value, otherwise it is drawn at random; an
+    involutive datum needs lam = 1 or -1, else ``BadParams``.
     """
+    if involutive and lam not in (1, -1):
+        raise BadParams(f"involutive extension data needs lambda 1 or -1, got {lam}")
     n = q.dim
     x0 = tuple(x0) if x0 is not None else zero_vec(n)
     part, hom = extension_delta_space(q, lam, x0)

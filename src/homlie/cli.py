@@ -201,7 +201,7 @@ def _cmd_analyze(args) -> int:
             _subspace_lines(rep, "invertible part", fs.j_part, names)
             rep.result["stable_power"] = fs.n
         elif op == "decompose":
-            parts = an.decompose_irreducible(q, with_bases=True)
+            parts = an.decompose_irreducible(q)
             rep.text(f"decompose: {len(parts)} summand(s)")
             rep.result["summands"] = []
             for idx, (sub, piece) in enumerate(parts, start=1):

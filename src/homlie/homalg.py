@@ -19,7 +19,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
+from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative, NotMultiplicative
 from .exactlin import (
     Matrix,
     Subspace,
@@ -168,13 +168,18 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim})"
 
 
-def center(g: HomAlgebra) -> Subspace:
-    """Center {x : [x, y] = 0 for all y}: kernel of the stacked adjoints."""
-    rows = {}  # row k of ad_i, as its nonzero entries
-    for (i, j), row in g._rows.items():
+def annihilator(t: HomAlgebra | AssocAlgebra) -> Subspace:
+    """Left annihilator {x : x y = 0 for all y} of a bracket or product table."""
+    eqs = {}  # (j, k): the x_k coefficient of x x_j, as its nonzero entries
+    for (i, j), row in t._rows.items():
         for k, c in row.items():
-            rows.setdefault((i, k), {})[j] = c
-    return solve_rows(rows.values(), g.dim)[1]
+            eqs.setdefault((j, k), {})[i] = c
+    return solve_rows(eqs.values(), t.dim)[1]
+
+
+def center(g: HomAlgebra) -> Subspace:
+    """Center {x : [x, y] = 0 for all y}."""
+    return annihilator(g)
 
 
 def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:
@@ -411,6 +416,13 @@ def multiplicativity_witness(g: HomAlgebra) -> Optional[tuple[int, int]]:
 
 def is_multiplicative(g: HomAlgebra) -> bool:
     return multiplicativity_witness(g) is None
+
+
+def require_multiplicative(g: HomAlgebra, what: str = "twist map") -> None:
+    """Raise ``NotMultiplicative`` at the first basis pair where the twist is no bracket morphism."""
+    w = multiplicativity_witness(g)
+    if w is not None:
+        raise NotMultiplicative(f"{what} is not a bracket morphism", witness=w)
 
 
 def is_nilpotent_matrix(a: Matrix) -> bool:

@@ -11,8 +11,11 @@ The per-vector readers are how ``homlie.analyze`` took a quadratic algebra
 apart before it read every piece off one change of basis: restrictions to an
 invariant subspace, orthogonal decomposition and double-extension
 recognition, each piece expressed one basis vector at a time.  They share
-with the code under test only the steps it left unchanged: the candidate
-ideals, the choice of e, b and V, and the final rebuild.
+with the code under test only the steps it left unchanged: the choice of e,
+b and V, and the final rebuild.  The decomposition oracle searches the
+candidate family as it was before candidates were formed one at a time:
+all formed up front, with the Fitting image and the orthogonals of the
+first four, each split filtered by two ``is_ideal`` checks.
 
 The dense verdict is ``homlie.analyze.simplicity_verdict`` as it was when
 operators reached the closures as dense matrices: every candidate product
@@ -27,9 +30,9 @@ from homlie.analyze import (
     SIMPLICITY_STREAM_SEED,
     DoubleExtensionWitness,
     SimplicityVerdict,
-    _candidate_ideals,
     _compose_embedding,
     _isotropic_in_eigenspace,
+    ideal_closure,
     is_ideal,
     orthogonal_subspace,
 )
@@ -48,6 +51,7 @@ from homlie.exactlin import (
     Subspace,
     is_zero_vec,
     kernel,
+    kernel_image_power,
     rational_eigenpairs,
     solve_rows,
     sparse_rows,
@@ -60,6 +64,7 @@ from homlie.homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     center,
+    is_multiplicative,
     multiplicativity_witness,
 )
 
@@ -208,11 +213,36 @@ def restrict_quadratic(q: QuadraticHomAlgebra, w: Subspace) -> QuadraticHomAlgeb
     return QuadraticHomAlgebra(alg, BilinearForm(w.dim, gram))
 
 
+def eager_candidate_ideals(q: QuadraticHomAlgebra) -> list[Subspace]:
+    """The whole candidate family, formed before the first is tried.
+
+    Fitting kernel and image, closures of the center and the derived span,
+    the orthogonals of those four, then the closures of the rational twist
+    eigenspaces; each proper nonzero one once.
+    """
+    g = q.algebra
+    cands = []
+    if is_multiplicative(g):
+        _, ker_part, im_part = kernel_image_power(g.alpha)
+        cands += [ker_part, im_part]
+    z = center(g)
+    derived = Subspace.from_vectors(g.dim, g.bracket.values())
+    cands += [ideal_closure(g, z), ideal_closure(g, derived)]
+    cands += [orthogonal_subspace(q, c) for c in list(cands)]
+    for _, eig in rational_eigenpairs(g.alpha):
+        cands.append(ideal_closure(g, eig))
+    out = []
+    for c in cands:
+        if 0 < c.dim < q.dim and c not in out:
+            out.append(c)
+    return out
+
+
 def per_vector_decompose(q: QuadraticHomAlgebra, embedding=None, original=None):
-    """``decompose_irreducible(q, with_bases=True)`` through ``restrict_quadratic``."""
+    """``decompose_irreducible(q)`` over the eager family, through ``restrict_quadratic``."""
     if embedding is None:
         embedding, original = Subspace.full(q.dim), q
-    for cand in _candidate_ideals(q):
+    for cand in eager_candidate_ideals(q):
         if not is_ideal(q.algebra, cand):
             continue
         sub_gram = cand.basis @ q.gram @ cand.basis.transpose()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import catalog
+from homlie import analyze, catalog
 from homlie.analyze import (
     center,
     centroid,
@@ -224,20 +224,64 @@ def test_fitting_restricted_quadratic():
 def test_decompose_two_blocks():
     q = orthogonal_sum(catalog.sl_n_transpose(2), abelian_quadratic(2))
     parts = decompose_irreducible(q)
-    assert sorted(p.dim for p in parts) == [2, 3]
+    assert sorted(p.dim for _, p in parts) == [2, 3]
 
 
 def test_decompose_irreducible_singletons():
-    assert [p.dim for p in decompose_irreducible(catalog.sl_n_transpose(2))] == [3]
+    assert [p.dim for _, p in decompose_irreducible(catalog.sl_n_transpose(2))] == [3]
     one = abelian_quadratic(1, Matrix([[2]]))
-    assert [p.dim for p in decompose_irreducible(one)] == [1]
+    assert [p.dim for _, p in decompose_irreducible(one)] == [1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog.sl_n_transpose(2),
+        lambda: orthogonal_sum(catalog.sl_n_transpose(2), abelian_quadratic(2)),
+        lambda: catalog.random_instance(0, 8, "quadratic"),  # four summands
+    ],
+    ids=["sl_n_transpose_2", "two_blocks", "random_quadratic_0_8"],
+)
+def test_decompose_forms_one_orthogonal_per_split(monkeypatch, make):
+    q = make()
+    calls = []
+    orthogonal = analyze.orthogonal_subspace
+
+    def counted(q, w):
+        calls.append(w)
+        return orthogonal(q, w)
+
+    monkeypatch.setattr(analyze, "orthogonal_subspace", counted)
+    parts = decompose_irreducible(q)
+    assert len(calls) == len(parts) - 1
+
+
+def test_decompose_forms_candidates_only_when_reached(monkeypatch):
+    # the Fitting kernel (the nilpotent block) splits first, so no center is
+    # formed before the first change of basis
+    q = orthogonal_sum(_nilpotent_block(2), catalog.sl_n_transpose(2))
+    log = []
+
+    def logged(name):
+        orig = getattr(analyze, name)
+
+        def wrapper(*args):
+            log.append(name)
+            return orig(*args)
+
+        monkeypatch.setattr(analyze, name, wrapper)
+
+    logged("center")
+    logged("change_basis_quadratic")
+    decompose_irreducible(q)
+    assert log[0] == "change_basis_quadratic"
 
 
 def test_decompose_reassembly():
     rng = random.Random(9)
     q = orthogonal_sum(catalog.sl_n_transpose(2), abelian_quadratic(2))
     q = change_basis_quadratic(q, _rand_unimodular(rng, 5))
-    parts = decompose_irreducible(q, with_bases=True)
+    parts = decompose_irreducible(q)
     assert sum(piece.dim for _, piece in parts) == q.dim
     stacked = Matrix([row for sub, _ in parts for row in sub.basis.data]).transpose()
     transported = change_basis_quadratic(q, stacked)
@@ -494,7 +538,7 @@ def _reduce_to_centerless(q):
     parts = decompose_irreducible(q)
     if len(parts) > 1:
         out = []
-        for p in parts:
+        for _, p in parts:
             out += _reduce_to_centerless(p)
         return out
     if q.dim <= 2:
@@ -594,6 +638,6 @@ def test_irreducible_summands_twist_dichotomy():
 
     for seed in range(6):
         q = catalog.random_instance(seed, 6, "quadratic")
-        for piece in decompose_irreducible(q):
+        for _, piece in decompose_irreducible(q):
             alpha = piece.algebra.alpha
             assert is_nilpotent_matrix(alpha) or alpha.inverse() is not None

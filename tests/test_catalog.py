@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,12 @@ def test_random_instance_bad_kind():
         catalog.random_instance(0, 3, "banana")
     with pytest.raises(BadParams):
         catalog.random_instance(0, 0, "lie")
+
+
+@pytest.mark.parametrize("lam", [0, 2, F(1, 2)])
+def test_random_extension_data_involutive_needs_lambda_one_or_minus_one(lam):
+    # lam = 0 divided by zero for lam0; lam = 2 gave data that the involutive
+    # double extension rejects
+    rng = random.Random(0)
+    with pytest.raises(BadParams):
+        catalog.random_extension_data(rng, catalog.sl_n_transpose(2), F(lam), involutive=True)

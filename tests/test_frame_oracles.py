@@ -53,9 +53,7 @@ def outcome(f, q):
 
 def assert_agree(q):
     assert outcome(recognize_double_extension, q) == outcome(per_vector_recognize, q)
-    assert outcome(
-        lambda x: decompose_irreducible(x, with_bases=True), q
-    ) == outcome(per_vector_decompose, q)
+    assert outcome(decompose_irreducible, q) == outcome(per_vector_decompose, q)
 
 
 def seeded_extension(rng, q, involutive):
@@ -77,6 +75,14 @@ def test_fixtures_match_per_vector_oracles(name):
 @given(seed=st.integers(0, 10**6), dim=st.integers(3, 9), kind=st.sampled_from(KINDS))
 def test_random_instances_match_per_vector_oracles(seed, dim, kind):
     assert_agree(catalog.random_instance(seed, dim, kind))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_decompose_matches_eager_family(seed, kind):
+    for dim in (5, 8):
+        q = catalog.random_instance(seed, dim, kind)
+        assert outcome(decompose_irreducible, q) == outcome(per_vector_decompose, q)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homlie import catalog
-from homlie.build import adjoint_rep, change_basis, coadjoint_rep
-from homlie.errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative
+from homlie import analyze, build, catalog
+from homlie.build import ExtensionData1D, adjoint_rep, change_basis, coadjoint_rep
+from homlie.errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative, NotMultiplicative
 from homlie.exactlin import Matrix
 from homlie.homalg import (
     AssocAlgebra,
@@ -15,6 +15,7 @@ from homlie.homalg import (
     HomAlgebra,
     QuadraticHomAlgebra,
     Representation,
+    annihilator,
     check_hom_associative,
     check_hom_lie,
     check_hom_quadratic,
@@ -387,3 +388,56 @@ def test_bracket_is_always_skew(rows):
         assert g.bracket_vec(units[j], units[i]) == tuple(-c for c in stored) == g.basis_bracket(j, i)
     for i in range(3):
         assert g.bracket_vec(units[i], units[i]) == (0, 0, 0) == g.basis_bracket(i, i)
+
+
+# sl2 with the involution -id: a quadratic Hom-Lie algebra whose twist is no
+# bracket morphism, [-x, -y] = [x, y] != -[x, y], first at the pair (0, 1)
+_NEG = catalog.sl2().with_alpha(Matrix.identity(3).scale(-1))
+_NEG_Q = QuadraticHomAlgebra(_NEG, analyze.trace_form(catalog.sl2()))
+_ZERO_DATA = ExtensionData1D(Matrix.zeros(3, 3), [0, 0, 0], 1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analyze.fitting_decomposition(_NEG_Q), "twist map is not a bracket morphism"),
+        (lambda: analyze.recognize_double_extension(_NEG_Q), "twist map is not a bracket morphism"),
+        (lambda: build.derived_hom_algebra(_NEG, 1), "twist map is not a bracket morphism"),
+        (lambda: build.untwist_involutive(_NEG), "twist map is not a bracket morphism"),
+        (lambda: build.quadratic_derived(_NEG_Q, 1), "twist map is not a bracket morphism"),
+        (lambda: build.double_extension_1d(_NEG_Q, _ZERO_DATA), "base twist is not a bracket morphism"),
+    ],
+    ids=["fitting", "recognize", "derived", "untwist_involutive", "quadratic_derived", "double_extension"],
+)
+def test_multiplicativity_precondition_reports_the_first_pair(call, message):
+    with pytest.raises(NotMultiplicative) as info:
+        call()
+    assert type(info.value) is NotMultiplicative
+    assert str(info.value) == message
+    assert info.value.witness == (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            max_size=2 * n,
+        ).map(lambda prod: AssocAlgebra(n, prod, Matrix.identity(n)))
+    )
+)
+@example(catalog.assoc_a(2))
+def test_annihilator_matches_sympy_nullspace(a):
+    """{x : x y = 0 for all y} is the nullspace of one equation per (j, k)."""
+    sympy = pytest.importorskip("sympy")
+    n, units = a.dim, Matrix.identity(a.dim).data
+    # row (j, k), column i: the x_k coefficient of x_i x_j
+    eqs = sympy.Matrix(
+        [[sympy.Rational(a.product_vec(units[i], units[j])[k]) for i in range(n)]
+         for j in range(n) for k in range(n)]
+    )
+    null = eqs.nullspace()
+    ref = sympy.Matrix.hstack(*null).T.rref()[0].tolist() if null else []
+    got = [[sympy.Rational(x) for x in row] for row in annihilator(a).basis.data]
+    assert got == ref
