@@ -34,6 +34,7 @@ from .errors import (
 from .exactlin import (
     Matrix,
     Subspace,
+    eigenspace,
     is_zero_vec,
     kernel,
     kernel_image_power,
@@ -171,7 +172,7 @@ def decompose_irreducible(
 def _candidate_ideals(q: QuadraticHomAlgebra):
     """Each candidate ideal of q, formed only when the search reaches it.
 
-    In order: ker(alpha^n) for the Fitting power n when alpha is
+    In order: ker(alpha^dim), the Fitting kernel, when alpha is
     multiplicative, the closures of the center and of the derived span, and
     the closures of the rational twist eigenspaces; each proper nonzero one
     once.  Every candidate C is an ideal, so its orthogonal C-perp is one
@@ -185,7 +186,7 @@ def _candidate_ideals(q: QuadraticHomAlgebra):
 
     def formed():
         if is_multiplicative(g):
-            yield kernel_image_power(g.alpha)[1]
+            yield kernel(g.alpha.power(g.dim))
         yield ideal_closure(g, center(g))
         yield ideal_closure(g, Subspace.from_vectors(g.dim, g.bracket.values()))
         for _, eig in rational_eigenpairs(g.alpha):
@@ -343,8 +344,8 @@ def simplicity_verdict(g: HomAlgebra) -> SimplicityVerdict:
             spin = ideal_closure(g, eig)
             if spin.dim < n:
                 return SimplicityVerdict("NotSimple", spin)
-            shifted = z - Matrix.identity(n).scale(lam)
-            cokernel = kernel(shifted.transpose())
+            # the rows of z^T are the columns of z
+            cokernel = eigenspace(sparse_rows(zip(*z.data)), lam)
             if cokernel.dim != 1:
                 continue
             tspin = spin_up(tgens, cokernel)

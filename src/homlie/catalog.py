@@ -403,9 +403,7 @@ def _unflatten(v, n: int) -> Matrix:
     return Matrix([v[i * n : (i + 1) * n] for i in range(n)])
 
 
-def extension_delta_space(
-    q: QuadraticHomAlgebra, lam: Fraction, x0=None
-) -> tuple[Matrix, list[Matrix]]:
+def extension_delta_space(q: QuadraticHomAlgebra, lam: Fraction, x0) -> tuple[Matrix, list[Matrix]]:
     """Solutions delta of the linear extension constraints over a given base.
 
     Solves, exactly and simultaneously, a delta a - lam delta = [x0, .],
@@ -418,7 +416,6 @@ def extension_delta_space(
     n = q.dim
     g = q.algebra
     a = q.alpha
-    x0 = list(x0) if x0 is not None else [_ZERO] * n
     adx0 = g.ad_vec(x0)
     # (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]; delta skew for the form
     rows = _twist_skew_rows(q, lam)
@@ -452,15 +449,15 @@ def random_extension_data(
     lam: Fraction,
     x0=None,
     involutive: bool = False,
-    attempts: int = 8,
 ):
     """A valid one-dimensional extension datum over q, or None.
 
-    Draws delta from the exact solution space of the linear constraints and
-    filters through the full condition set (the remaining conditions are not
-    linear in delta).  With ``involutive`` the scalar lam0 is pinned to the
-    involution-compatible value, otherwise it is drawn at random; an
-    involutive datum needs lam = 1 or -1, else ``BadParams``.
+    Draws delta, up to eight times, from the exact solution space of the
+    linear constraints and filters through the full condition set (the
+    remaining conditions are not linear in delta).  With ``involutive`` the
+    scalar lam0 is pinned to the involution-compatible value, otherwise it
+    is drawn at random; an involutive datum needs lam = 1 or -1, else
+    ``BadParams``.
     """
     if involutive and lam not in (1, -1):
         raise BadParams(f"involutive extension data needs lambda 1 or -1, got {lam}")
@@ -469,7 +466,7 @@ def random_extension_data(
     part, hom = extension_delta_space(q, lam, x0)
     if part is None:
         return None
-    for _ in range(attempts):
+    for _ in range(8):
         delta = part
         for h in hom:
             c = Fraction(rng.randrange(-3, 4))

@@ -317,6 +317,23 @@ def _cmd_catalog(args) -> int:
     return rep.emit()
 
 
+# each construct operation's positional arguments with their add_argument options, in help order
+_CONSTRUCTIONS = {
+    "twist": {"file": {}},
+    "tstar": {"file": {}},
+    "omega-ext": {"file": {}},
+    "untwist": {"file": {}},
+    "derived": {"n": {"type": int}, "file": {}},
+    "double-ext": {"file": {}, "data": {}},
+    "inv-double-ext": {
+        "file": {"help": "base quadratic algebra file"}, "algebra": {"help": "extending algebra file"}, "data": {}
+    },
+    "tensor-current": {
+        "file": {"help": "Lie algebra file"}, "algebra": {"help": "commutative associative algebra file"}
+    },
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="homlie",
@@ -352,37 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("construct", help="build a new algebra from files")
     bsub = b.add_subparsers(dest="operation", required=True)
-    for name in ("twist", "tstar", "omega-ext", "untwist"):
+    for name, positionals in _CONSTRUCTIONS.items():
         sp = bsub.add_parser(name)
-        sp.add_argument("file")
+        for arg, options in positionals.items():
+            sp.add_argument(arg, **options)
         sp.add_argument("--out", required=True)
         sp.add_argument("--json", action="store_true")
         sp.set_defaults(func=_cmd_construct)
-    sp = bsub.add_parser("derived")
-    sp.add_argument("n", type=int)
-    sp.add_argument("file")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_construct)
-    sp = bsub.add_parser("double-ext")
-    sp.add_argument("file")
-    sp.add_argument("data")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_construct)
-    sp = bsub.add_parser("inv-double-ext")
-    sp.add_argument("file", help="base quadratic algebra file")
-    sp.add_argument("algebra", help="extending algebra file")
-    sp.add_argument("data")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_construct)
-    sp = bsub.add_parser("tensor-current")
-    sp.add_argument("file", help="Lie algebra file")
-    sp.add_argument("algebra", help="commutative associative algebra file")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_construct)
 
     k = sub.add_parser("catalog", help="list or emit named fixtures")
     ksub = k.add_subparsers(dest="operation", required=True)

@@ -11,6 +11,7 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -239,18 +240,19 @@ class Matrix:
     def charpoly(self) -> tuple[Fraction, ...]:
         """Monic characteristic polynomial, descending coefficients.
 
-        Faddeev-LeVerrier recursion; exact over the rationals.
+        Faddeev-LeVerrier recursion, exact over the rationals, on sparse
+        columns: M_1 = I, c_k = -tr(A M_k) / k and M_(k+1) = A M_k + c_k I.
         """
         self._square()
         n = self.rows
+        cols = sparse_rows(zip(*self.data))
         coeffs = [_ONE]
-        m = Matrix.identity(n)
+        m = [{j: _ONE} for j in range(n)]
         for k in range(1, n + 1):
-            m = self @ m
-            ck = -m.trace() / k
+            am = [combine_rows((x, cols[i]) for i, x in col.items()) for col in m]
+            ck = -sum((col.get(j, _ZERO) for j, col in enumerate(am)), _ZERO) / k
             coeffs.append(ck)
-            if k < n:
-                m = m + Matrix.identity(n).scale(ck)
+            m = [sparse_row(chain(col.items(), [(j, ck)])) for j, col in enumerate(am)]
         return tuple(coeffs)
 
     def _same_shape(self, other: "Matrix"):
@@ -568,12 +570,11 @@ def kernel_image_power(a: Matrix) -> tuple[int, Subspace, Subspace]:
     prev = kernel(power)
     n = 1
     while True:
-        nxt = kernel(power @ a)
+        nxt_power = power @ a
+        nxt = kernel(nxt_power)
         if nxt == prev:
             return n, prev, column_space(power)
-        prev = nxt
-        power = power @ a
-        n += 1
+        prev, power, n = nxt, nxt_power, n + 1
 
 
 def _positive_divisors(n: int) -> list[int]:
@@ -642,9 +643,16 @@ def rational_eigenpairs(a: Matrix) -> list[tuple[Fraction, Subspace]]:
     deterministic.  May be empty.
     """
     a._square()
+    rows = sparse_rows(a.data)
     pairs = []
     for lam in rational_roots(a.charpoly()):
-        eig = kernel(a - Matrix.identity(a.rows).scale(lam))
+        eig = eigenspace(rows, lam)
         if not eig.is_zero():
             pairs.append((lam, eig))
     return pairs
+
+
+def eigenspace(rows: Sequence[dict[int, Fraction]], lam: Fraction) -> Subspace:
+    """{x : (m - lam) x = 0}, m the square matrix whose sparse rows are rows (left unchanged)."""
+    shifted = [sparse_row(chain(row.items(), [(i, -lam)])) for i, row in enumerate(rows)]
+    return solve_rows(shifted, len(shifted))[1]

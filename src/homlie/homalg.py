@@ -426,12 +426,8 @@ def require_multiplicative(g: HomAlgebra, what: str = "twist map") -> None:
 
 
 def is_nilpotent_matrix(a: Matrix) -> bool:
-    p = a
-    for _ in range(a.rows):
-        if p.is_zero():
-            return True
-        p = p @ a
-    return p.is_zero()
+    """Is a nilpotent: a nilpotent n x n matrix has a^n = 0."""
+    return a.power(a.rows).is_zero()
 
 
 def classify_alpha(g: HomAlgebra) -> AlphaClass:

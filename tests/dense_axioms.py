@@ -43,6 +43,12 @@ def dense_ad(g, x) -> Matrix:
     return Matrix(zip(*cols))
 
 
+def dense_ad_matrices(g) -> list[Matrix]:
+    """Matrices of every [x_i, .], column j holding the coefficients of [x_i, x_j]."""
+    n = g.dim
+    return [Matrix(zip(*(dense_basis_bracket(g, i, j) for j in range(n)))) for i in range(n)]
+
+
 def dense_bracket_vec(g, x, y) -> tuple:
     """[x, y] as the dense ad(x) applied to y."""
     return dense_ad(g, x).apply(y)

@@ -2,10 +2,14 @@
 
 This is the elimination ``Matrix.rref`` used before ``homlie.exactlin`` moved
 to sparse rows, together with what was built on it: the kernel, the dense
-centroid system (over the ad matrices that ``dense_structures.dense_ad_matrices``
+centroid system (over the ad matrices that ``dense_axioms.dense_ad_matrices``
 reads off the public ``bracket`` mapping), the dense solver ``solve_linear``,
 the round-based spin-up, the greedy complement and the Zassenhaus
 intersection.  RREF is unique, so the library must agree with it exactly.
+``dense_charpoly`` is the Faddeev-LeVerrier loop ``Matrix.charpoly`` ran on
+dense products before it moved to sparse columns; ``dense_eigenpairs`` and
+``dense_fitting`` build eigenspaces and the Fitting split on it and on
+``dense_kernel``.
 ``trial_divisors`` is the divisor list the rational root search took by
 trial division up to the square root of its input.
 """
@@ -13,9 +17,9 @@ trial division up to the square root of its input.
 from fractions import Fraction
 
 from homlie.errors import DimensionMismatch
-from homlie.exactlin import Matrix, unit_vec, zero_vec
+from homlie.exactlin import Matrix, Subspace, rational_roots, unit_vec, zero_vec
 
-from dense_structures import dense_ad_matrices
+from dense_axioms import dense_ad_matrices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,6 +65,40 @@ def dense_kernel(a: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int
         return (), ()
     red, kpivots = dense_rref(Matrix(basis))
     return red.data[: len(kpivots)], kpivots
+
+
+def dense_charpoly(a: Matrix) -> tuple[Fraction, ...]:
+    """Monic characteristic polynomial, descending coefficients, by dense Faddeev-LeVerrier."""
+    n = a.rows
+    coeffs = [_ONE]
+    m = Matrix.identity(n)
+    for k in range(1, n + 1):
+        m = a @ m
+        ck = -m.trace() / k
+        coeffs.append(ck)
+        if k < n:
+            m = m + Matrix.identity(n).scale(ck)
+    return tuple(coeffs)
+
+
+def dense_eigenpairs(a: Matrix) -> list[tuple[Fraction, Subspace]]:
+    """Rational eigenvalues of a, from ``dense_charpoly``, with the dense kernels of a - lam I."""
+    pairs = []
+    for lam in rational_roots(dense_charpoly(a)):
+        rows, _ = dense_kernel(a - Matrix.identity(a.rows).scale(lam))
+        if rows:
+            pairs.append((lam, Subspace.from_vectors(a.rows, rows)))
+    return pairs
+
+
+def dense_fitting(a: Matrix) -> list[Subspace]:
+    """ker(a^k) and im(a^k) for the least k >= 1 with ker(a^k) = ker(a^(k+1)), from dense powers."""
+    n = a.rows
+    power = a
+    while dense_kernel(power) != dense_kernel(power @ a):
+        power = power @ a
+    image = dense_span([power.col(j) for j in range(n)], n)[0]
+    return [Subspace.from_vectors(n, dense_kernel(power)[0]), Subspace.from_vectors(n, image)]
 
 
 def dense_centroid(g) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:

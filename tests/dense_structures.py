@@ -21,6 +21,11 @@ The dense verdict is ``homlie.analyze.simplicity_verdict`` as it was when
 operators reached the closures as dense matrices: every candidate product
 formed before the first is tested, and every closure taken over dense ad
 matrices read off ``dense_axioms.dense_basis_bracket``.
+
+Every eigenspace and Fitting part here comes from the dense oracles of
+``dense_elimination`` (``dense_charpoly`` and ``dense_kernel``), so these
+oracles do not follow the library's characteristic polynomial or
+eigenspaces.
 """
 
 import random
@@ -51,8 +56,6 @@ from homlie.exactlin import (
     Subspace,
     is_zero_vec,
     kernel,
-    kernel_image_power,
-    rational_eigenpairs,
     solve_rows,
     sparse_rows,
     spin_up,
@@ -68,7 +71,8 @@ from homlie.homalg import (
     multiplicativity_witness,
 )
 
-from dense_axioms import dense_basis_bracket, dense_bracket_vec
+from dense_axioms import dense_ad_matrices, dense_basis_bracket, dense_bracket_vec
+from dense_elimination import dense_eigenpairs, dense_fitting
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -223,13 +227,12 @@ def eager_candidate_ideals(q: QuadraticHomAlgebra) -> list[Subspace]:
     g = q.algebra
     cands = []
     if is_multiplicative(g):
-        _, ker_part, im_part = kernel_image_power(g.alpha)
-        cands += [ker_part, im_part]
+        cands += dense_fitting(g.alpha)
     z = center(g)
     derived = Subspace.from_vectors(g.dim, g.bracket.values())
     cands += [ideal_closure(g, z), ideal_closure(g, derived)]
     cands += [orthogonal_subspace(q, c) for c in list(cands)]
-    for _, eig in rational_eigenpairs(g.alpha):
+    for _, eig in dense_eigenpairs(g.alpha):
         cands.append(ideal_closure(g, eig))
     out = []
     for c in cands:
@@ -276,7 +279,7 @@ def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
     if not z.contains(mapped):
         raise ReconstructionFailed("center is not twist-invariant")
     alpha_z = Matrix.from_cols([z.coords_of(g.alpha.apply(v)) for v in z.vectors()])
-    pairs = rational_eigenpairs(alpha_z)
+    pairs = dense_eigenpairs(alpha_z)
     if not pairs:
         raise NoRationalCentralEigenvector(
             "twist restricted to the center has no rational eigenvalue"
@@ -352,12 +355,6 @@ def per_vector_recognize(q: QuadraticHomAlgebra) -> DoubleExtensionWitness:
     return DoubleExtensionWitness(e, b, v_space, data, base)
 
 
-def dense_ad_matrices(g: HomAlgebra) -> list[Matrix]:
-    """Matrices of every [x_i, .], column j holding the coefficients of [x_i, x_j]."""
-    n = g.dim
-    return [Matrix(zip(*(dense_basis_bracket(g, i, j) for j in range(n)))) for i in range(n)]
-
-
 def dense_closure(generators: list[Matrix], seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and mapped into itself by the matrices.
 
@@ -377,7 +374,7 @@ def dense_simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdi
 
     rng = random.Random(f"{SIMPLICITY_STREAM_SEED}:{n}")
     seeds = [unit_vec(n, i) for i in range(n)]
-    for _, eig in rational_eigenpairs(g.alpha):
+    for _, eig in dense_eigenpairs(g.alpha):
         seeds.extend(eig.vectors())
     seeds.extend(g.bracket.values())
     for _ in range(budget):
@@ -407,7 +404,7 @@ def dense_simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdi
         candidates.append(acc)
     tgens = [m.transpose() for m in gens]
     for z in candidates:
-        for lam, eig in rational_eigenpairs(z):
+        for lam, eig in dense_eigenpairs(z):
             if eig.dim != 1:
                 continue
             spin = ideal_closure(eig)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import analyze, catalog
+from homlie import analyze, catalog, exactlin
 from homlie.analyze import (
     center,
     centroid,
@@ -277,6 +277,21 @@ def test_decompose_forms_candidates_only_when_reached(monkeypatch):
     assert log[0] == "change_basis_quadratic"
 
 
+def test_decompose_makes_no_fitting_image(monkeypatch):
+    # the Fitting kernel is ker(alpha^dim); no image is formed only to be dropped
+    q = catalog.random_instance(0, 8, "quadratic")
+    calls = []
+    column_space = exactlin.column_space
+
+    def counted(a):
+        calls.append(a.shape)
+        return column_space(a)
+
+    monkeypatch.setattr(exactlin, "column_space", counted)
+    assert len(decompose_irreducible(q)) == 4
+    assert calls == []
+
+
 def test_decompose_reassembly():
     rng = random.Random(9)
     q = orthogonal_sum(catalog.sl_n_transpose(2), abelian_quadratic(2))
@@ -404,6 +419,21 @@ def test_simplicity_forms_candidates_only_when_reached(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(Matrix, "charpoly", counted_charpoly)
     assert simplicity_verdict(catalog.sl_n(3)).tag == "Simple"
+    assert calls == []
+
+
+def test_simplicity_forms_no_identity_matrix(monkeypatch):
+    # eigenspaces and the Norton cokernel shift the diagonal of sparse rows
+    g = catalog.sl_n_transpose(3).algebra
+    calls = []
+    identity = Matrix.identity
+
+    def counted(cls, n):
+        calls.append(n)
+        return identity(n)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted))
+    assert simplicity_verdict(g).tag == "Simple"
     assert calls == []
 
 

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homlie.catalog import sl_n_transpose
 from homlie.errors import DimensionMismatch, NotSquare
 from homlie.exactlin import (
     Matrix,
     _positive_divisors,
     Subspace,
+    eigenspace,
     kernel,
     kernel_image_power,
     rational_eigenpairs,
@@ -17,8 +19,10 @@ from homlie.exactlin import (
     sparse_rows,
     spin_up,
 )
+from homlie.homalg import is_nilpotent_matrix
 
 from dense_elimination import (
+    dense_charpoly,
     dense_complement,
     dense_intersection,
     dense_kernel,
@@ -464,6 +468,25 @@ def test_rational_eigenpairs_with_large_prime_eigenvalues():
         assert [eig for _, eig in pairs] == [Subspace.from_vectors(3, [row]) for row in Matrix.identity(3).data]
 
 
+def test_rational_eigenpairs_form_no_dense_product_or_identity(monkeypatch):
+    alpha = sl_n_transpose(3).alpha
+    calls = []
+    matmul, identity = Matrix.__matmul__, Matrix.identity
+
+    def counted_matmul(self, other):
+        calls.append("matmul")
+        return matmul(self, other)
+
+    def counted_identity(cls, n):
+        calls.append("identity")
+        return identity(n)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
+    assert rational_eigenpairs(alpha)
+    assert calls == []
+
+
 def test_rational_eigenpairs_identity():
     pairs = rational_eigenpairs(Matrix.identity(2))
     assert pairs == [(Fraction(1), Subspace.full(2))]
@@ -558,11 +581,64 @@ def test_rref_matches_dense_oracle_and_sympy(a):
     assert [[_rational(x) for x in row] for row in ours.data] == ref.tolist()
 
 
-@settings(max_examples=15, deadline=None)
-@given(small_matrix(4, 4))
-def test_charpoly_matches_sympy(a):
-    sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.data])
-    lam = sympy.Symbol("lam")
-    ref = sympy.Poly(sym.charpoly(lam), lam).all_coeffs()
-    ours = [sympy.Rational(c.numerator, c.denominator) for c in a.charpoly()]
-    assert ours == ref
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 6 x 6: dense, mostly zero, nilpotent or rank-deficient."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("dense", "sparse", "nilpotent", "rank_deficient")))
+    entry = fractions_st if kind == "dense" else st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "nilpotent":
+        # strictly upper triangular after relabelling the basis by p
+        p = draw(st.permutations(range(n)))
+        rows = [[rows[i][j] if p[i] < p[j] else Fraction(0) for j in range(n)] for i in range(n)]
+    elif kind == "rank_deficient" and n:
+        # fewer than n independent rows, the rest their combinations
+        base = rows[: draw(st.integers(0, n - 1))]
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+        combos = draw(st.lists(coeffs, min_size=n - len(base), max_size=n - len(base)))
+        combined = [[sum((c * r[j] for c, r in zip(combo, base)), Fraction(0)) for j in range(n)] for combo in combos]
+        rows = draw(st.permutations(base + combined))
+    return Matrix(rows, cols=n)
+
+
+def _sympy_matrix(a):
+    return sympy.Matrix(a.rows, a.cols, [_rational(x) for row in a.data for x in row])
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example(Matrix.zeros(0, 0))
+@example(Matrix([[Fraction(-7, 3)]]))
+@example(Matrix.identity(5))
+def test_charpoly_matches_dense_oracle_and_sympy(a):
+    ours = a.charpoly()
+    assert ours == dense_charpoly(a)
+    assert [_rational(c) for c in ours] == _sympy_matrix(a).charpoly().all_coeffs()
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(), st.data())
+def test_eigenspace_matches_dense_kernel(m, data):
+    roots = rational_roots(m.charpoly())
+    if roots and data.draw(st.booleans(), label="at a root"):
+        lam = data.draw(st.sampled_from(roots), label="root")
+    else:
+        lam = data.draw(fractions_st.filter(lambda x: x not in roots), label="not a root")
+    rows = sparse_rows(m.data)
+    space = eigenspace(rows, lam)
+    assert rows == sparse_rows(m.data)
+    assert (space.basis.data, space.pivots) == dense_kernel(m - Matrix.identity(m.rows).scale(lam))
+    assert space.is_zero() == (lam not in roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example(Matrix.zeros(0, 0))
+@example(Matrix.identity(15))
+@example(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+def test_is_nilpotent_matrix_matches_sympy_and_dense_charpoly(a):
+    nilpotent = is_nilpotent_matrix(a)
+    assert nilpotent == _sympy_matrix(a).is_nilpotent()
+    assert nilpotent == (dense_charpoly(a) == (1,) + (0,) * a.rows)
