@@ -219,7 +219,8 @@ def derived_hom_algebra(g: HomAlgebra, n: int) -> HomAlgebra:
     if n < 0:
         raise ValueError("derived index must be >= 0")
     require_multiplicative(g)
-    return HomAlgebra(g.dim, _mapped(g.alpha.power(n), g.bracket), g.alpha.power(n + 1))
+    p = g.alpha.power(n)
+    return HomAlgebra(g.dim, _mapped(p, g.bracket), p @ g.alpha)
 
 
 def centroid_twists(g: HomAlgebra, theta: Matrix) -> tuple[HomAlgebra, HomAlgebra]:
@@ -357,9 +358,11 @@ def quadratic_derived(q: QuadraticHomAlgebra, n: int) -> QuadraticHomAlgebra:
     require_multiplicative(g)
     if g.alpha.inverse() is None:
         raise NotRegular("twist map must be invertible")
-    alg = derived_hom_algebra(g, n)
-    gram = g.alpha.power(n).transpose() @ q.gram
-    return QuadraticHomAlgebra(alg, BilinearForm(g.dim, gram))
+    if n < 0:
+        raise ValueError("derived index must be >= 0")
+    p = g.alpha.power(n)
+    alg = HomAlgebra(g.dim, _mapped(p, g.bracket), p @ g.alpha)
+    return QuadraticHomAlgebra(alg, BilinearForm(g.dim, p.transpose() @ q.gram))
 
 
 def tstar_extension(g: HomAlgebra) -> QuadraticHomAlgebra:

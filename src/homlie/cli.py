@@ -221,9 +221,6 @@ def _cmd_analyze(args) -> int:
             rep.result["e"] = [ser.format_rational(x) for x in w.e_vec]
             rep.result["b"] = [ser.format_rational(x) for x in w.b_vec]
             rep.result["base_dim"] = w.base.dim
-    else:
-        print(f"error: unknown analyze operation {op!r}", file=sys.stderr)
-        return 2
     return rep.emit()
 
 
@@ -257,13 +254,13 @@ def _cmd_construct(args) -> int:
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "double-ext":
         form = _need(parsed.form, "double-ext needs a form in the base file")
-        data = ser.parse_extension_data(_load_json(args.data), g.dim)
+        data = ser.parse_extension_data(ser.read_json(args.data), g.dim)
         q = bd.double_extension_1d(QuadraticHomAlgebra(g, form), data)
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "inv-double-ext":
         form = _need(parsed.form, "inv-double-ext needs a form in the base file")
         other = _need_algebra(ser.load_path(args.algebra))
-        data = ser.parse_inv_extension_data(_load_json(args.data), g.dim, other.dim)
+        data = ser.parse_inv_extension_data(ser.read_json(args.data), g.dim, other.dim)
         q = bd.involutive_double_extension(QuadraticHomAlgebra(g, form), other, data)
         _write_algebra(rep, args.out, q.algebra, q.form)
     elif op == "tensor-current":
@@ -282,18 +279,7 @@ def _cmd_construct(args) -> int:
         ):
             form = BilinearForm(g.dim, g.alpha.transpose() @ parsed.form.gram)
         _write_algebra(rep, args.out, out, form)
-    else:
-        print(f"error: unknown construction {op!r}", file=sys.stderr)
-        return 2
     return rep.emit()
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ser.ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_catalog(args) -> int:

@@ -106,7 +106,7 @@ class Matrix:
         if not cols:
             return cls.zeros(0, 0)
         n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        return cls([[c[i] for c in cols] for i in range(n)], cols=len(cols))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["Matrix"]) -> "Matrix":
@@ -120,7 +120,7 @@ class Matrix:
                     out[r + i][c + j] = b.data[i][j]
             r += b.rows
             c += b.cols
-        return cls(out)
+        return cls(out, cols=m)
 
     # access ----------------------------------------------------------------
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -136,20 +136,24 @@ class Matrix:
     # arithmetic ------------------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([add_vec(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix([add_vec(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([sub_vec(a, b) for a, b in zip(self.data, other.data)])
+        return Matrix([sub_vec(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([scale_vec(-_ONE, r) for r in self.data])
+        return Matrix([scale_vec(-_ONE, r) for r in self.data], cols=self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product combines other's sparse rows by the nonzeros of row i."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        ocols = tuple(other.col(j) for j in range(other.cols))
-        return Matrix([[dot(r, c) for c in ocols] for r in self.data])
+        rows = sparse_rows(other.data)
+        return Matrix(
+            [dense_row(combine_rows((x, rows[k]) for k, x in enumerate(r) if x), other.cols) for r in self.data],
+            cols=other.cols,
+        )
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         w = vec(v)
@@ -159,35 +163,30 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix([scale_vec(c, r) for r in self.data])
+        return Matrix([scale_vec(c, r) for r in self.data], cols=self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
+        return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
 
     def trace(self) -> Fraction:
         self._square()
         return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def power(self, k: int) -> "Matrix":
+        """self^k by repeated squaring; the identity only for k = 0."""
         self._square()
         if k < 0:
             raise ValueError("negative matrix power")
-        out = Matrix.identity(self.rows)
-        base = self
-        while k:
+        if k == 0:
+            return Matrix.identity(self.rows)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
-            [a + b for a, b in zip(self.data, other.data)],
-            cols=self.cols + other.cols,
-        )
+            if not k:
+                return out
+            base = base @ base
 
     # predicates ------------------------------------------------------------
     @property
@@ -204,7 +203,7 @@ class Matrix:
         return self.is_square() and self == Matrix.identity(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.shape == other.shape and self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
@@ -226,16 +225,16 @@ class Matrix:
         return Matrix(rows, cols=self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_reduce(sparse_rows(self.data))[1])
 
     def inverse(self) -> "Matrix | None":
-        """Exact inverse, or None when singular."""
+        """Exact inverse, or None when singular: the right block of the sparse rref of [self | I]."""
         self._square()
         n = self.rows
-        red, pivots = self.hstack(Matrix.identity(n)).rref()
-        if tuple(pivots[:n]) != tuple(range(n)):
+        reduced, pivots = _reduce([{**r, n + i: _ONE} for i, r in enumerate(sparse_rows(self.data))])
+        if pivots != tuple(range(n)):
             return None
-        return Matrix([r[n:] for r in red.data[:n]])
+        return Matrix([dense_row(r, 2 * n)[n:] for r in reduced], cols=n)
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Monic characteristic polynomial, descending coefficients.

@@ -168,20 +168,29 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def loads(text: str) -> ParsedFile:
+def _decode(text: str):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep nesting and too long integers
         raise ParseError(f"malformed JSON: {exc}") from exc
-    return parse_dict(data)
+
+
+def loads(text: str) -> ParsedFile:
+    return parse_dict(_decode(text))
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; every way the file can fail to read or decode is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return _decode(text)
 
 
 def load_path(path) -> ParsedFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_dict(read_json(path))
 
 
 def save_path(path, obj: dict):

@@ -12,12 +12,16 @@ dense products before it moved to sparse columns; ``dense_eigenpairs`` and
 ``dense_kernel``.
 ``trial_divisors`` is the divisor list the rational root search took by
 trial division up to the square root of its input.
+``dense_matmul``, ``dense_power`` and ``dense_inverse`` are the product over
+all pairs of rows and columns, the power started from the identity and the
+inverse read off the dense RREF of [A | I] that ``Matrix`` used before its
+products, powers, ranks and inverses moved to sparse rows.
 """
 
 from fractions import Fraction
 
 from homlie.errors import DimensionMismatch
-from homlie.exactlin import Matrix, Subspace, rational_roots, unit_vec, zero_vec
+from homlie.exactlin import Matrix, Subspace, dot, rational_roots, unit_vec, zero_vec
 
 from dense_axioms import dense_ad_matrices
 
@@ -48,6 +52,34 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == nr:
             break
     return Matrix(rows, cols=nc), tuple(pivots)
+
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b as the dot product of every row of a with every column of b."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"{a.shape} @ {b.shape}")
+    bcols = [b.col(j) for j in range(b.cols)]
+    return Matrix([[dot(r, c) for c in bcols] for r in a.data], cols=b.cols)
+
+
+def dense_power(a: Matrix, k: int) -> Matrix:
+    """a^k by repeated squaring from the identity, with dense products."""
+    out, base = Matrix.identity(a.rows), a
+    while k:
+        if k & 1:
+            out = dense_matmul(out, base)
+        base = dense_matmul(base, base)
+        k >>= 1
+    return out
+
+
+def dense_inverse(a: Matrix) -> Matrix | None:
+    """The inverse of a square a as the right block of the dense RREF of [a | I], or None."""
+    n = a.rows
+    red, pivots = dense_rref(Matrix([r + e for r, e in zip(a.data, Matrix.identity(n).data)], cols=2 * n))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Matrix([r[n:] for r in red.data[:n]], cols=n)
 
 
 def dense_kernel(a: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
@@ -122,7 +154,7 @@ def dense_solve(a: Matrix, b: Matrix) -> Matrix | None:
     """Some solution x of a @ x = b with its free unknowns zero, or None."""
     if a.rows != b.rows:
         raise DimensionMismatch(f"a has {a.rows} rows, b has {b.rows}")
-    red, pivots = dense_rref(a.hstack(b))
+    red, pivots = dense_rref(Matrix([r + s for r, s in zip(a.data, b.data)], cols=a.cols + b.cols))
     if any(p >= a.cols for p in pivots):
         return None
     sol = [[_ZERO] * b.cols for _ in range(a.cols)]

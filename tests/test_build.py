@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie import build, catalog
+from homlie import build, catalog, homalg
 from homlie.build import (
     ExtensionData1D,
     InvolutiveExtensionData,
@@ -284,6 +284,40 @@ def test_quadratic_derived():
     d2 = quadratic_derived(q, 2)
     assert d2.algebra.bracket == q.algebra.bracket
     assert d2.gram == q.gram
+
+
+def test_quadratic_derived_scans_and_powers_once(monkeypatch):
+    q = catalog.sl_n_transpose(3)
+    calls = []
+    scan, power = homalg.multiplicativity_witness, Matrix.power
+
+    def counted_scan(g):
+        calls.append("scan")
+        return scan(g)
+
+    def counted_power(self, k):
+        calls.append("power")
+        return power(self, k)
+
+    monkeypatch.setattr(homalg, "multiplicativity_witness", counted_scan)
+    monkeypatch.setattr(Matrix, "power", counted_power)
+    d1 = quadratic_derived(q, 1)
+    assert sorted(calls) == ["power", "scan"]
+    assert d1.alpha == q.alpha @ q.alpha
+    assert d1.gram == q.alpha.transpose() @ q.gram
+
+
+def test_quadratic_derived_reports_errors_in_order():
+    killing = catalog.sl_n_killing(2)
+    doubled = QuadraticHomAlgebra(catalog.sl2().with_alpha(Matrix.identity(3).scale(2)), killing)
+    zero = QuadraticHomAlgebra(catalog.abelian(1).with_alpha(Matrix([[0]])), BilinearForm(1, Matrix([[1]])))
+    # not multiplicative, singular and a negative index: the multiplicativity error comes first
+    with pytest.raises(NotMultiplicative):
+        quadratic_derived(orthogonal_sum(doubled, zero), -1)
+    with pytest.raises(NotRegular):
+        quadratic_derived(zero, -1)
+    with pytest.raises(ValueError):
+        quadratic_derived(catalog.sl_n_transpose(2), -1)
 
 
 # -- T* and omega extensions -------------------------------------------------

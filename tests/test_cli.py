@@ -154,6 +154,33 @@ def test_cli_overlong_rational_is_malformed_input(tmp_path):
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
+_HOSTILE_JSON = {
+    "deep": b"[" * 200000 + b"\n",
+    "not-utf8": b"\xff\xfe{}",
+    "long-int": b'{"dim": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "hostile.json"],
+        ["construct", "double-ext", "base.json", "hostile.json", "--out", "x.json"],
+        ["construct", "inv-double-ext", "base.json", "base.json", "hostile.json", "--out", "x.json"],
+    ],
+    ids=["algebra", "double-ext-data", "inv-double-ext-data"],
+)
+@pytest.mark.parametrize("content", _HOSTILE_JSON.values(), ids=_HOSTILE_JSON)
+def test_cli_unreadable_json_is_malformed_input(tmp_path, content, args):
+    ser.save_path(tmp_path / "base.json", ser.algebra_to_dict(catalog.abelian(2), BilinearForm(2, Matrix.identity(2))))
+    (tmp_path / "hostile.json").write_bytes(content)
+    r = run_cli(args, tmp_path)
+    assert (r.returncode, r.stdout) == (2, ""), r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_assoc_roundtrip():
     a = catalog.assoc_a(1)
     parsed = ser.loads(ser.dumps(ser.assoc_to_dict(a)))
@@ -260,6 +287,16 @@ def test_cli_usage_errors(tmp_path):
     (tmp_path / "bad.json").write_text('{"dim": "x"}')
     r = run_cli(["check", "bad.json"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args", [["analyze", "bogus", "f.json"], ["construct", "bogus", "f.json", "--out", "x.json"]]
+)
+def test_cli_unknown_operation_is_a_usage_error(tmp_path, args):
+    r = run_cli(args, tmp_path)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"usage: homlie {args[0]} ")
+    assert f"homlie {args[0]}: error: argument operation: invalid choice: 'bogus'" in r.stderr
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

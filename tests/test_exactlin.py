@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homlie import exactlin
 from homlie.catalog import sl_n_transpose
 from homlie.errors import DimensionMismatch, NotSquare
 from homlie.exactlin import (
@@ -25,7 +26,10 @@ from dense_elimination import (
     dense_charpoly,
     dense_complement,
     dense_intersection,
+    dense_inverse,
     dense_kernel,
+    dense_matmul,
+    dense_power,
     dense_rref,
     dense_solve,
     dense_span,
@@ -642,3 +646,125 @@ def test_is_nilpotent_matrix_matches_sympy_and_dense_charpoly(a):
     nilpotent = is_nilpotent_matrix(a)
     assert nilpotent == _sympy_matrix(a).is_nilpotent()
     assert nilpotent == (dense_charpoly(a) == (1,) + (0,) * a.rows)
+
+
+@st.composite
+def product_pairs(draw):
+    """a and b with a.cols == b.rows: a mostly zero, tall or rank-deficient; b dense or mostly zero."""
+    a = draw(sparse_matrices())
+    cols = draw(st.integers(0, 6))
+    entry = fractions_st if draw(st.booleans()) else st.one_of(st.just(Fraction(0)), fractions_st)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=a.cols, max_size=a.cols))
+    return a, Matrix(rows, cols=cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+@example((Matrix.zeros(0, 3), Matrix.identity(3)))
+@example((Matrix.zeros(3, 0), Matrix.zeros(0, 4)))
+@example((Matrix.zeros(0, 0), Matrix.zeros(0, 0)))
+@example((sl_n_transpose(2).alpha, sl_n_transpose(2).gram))
+def test_matmul_matches_dense_oracle_and_sympy(pair):
+    a, b = pair
+    ours = a @ b
+    assert ours == dense_matmul(a, b)
+    assert ours.shape == (a.rows, b.cols)
+    assert _sympy_matrix(ours) == _sympy_matrix(a) * _sympy_matrix(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(), st.integers(0, 7))
+@example(Matrix.zeros(0, 0), 0)
+@example(Matrix.zeros(0, 0), 3)
+@example(Matrix.identity(5), 7)
+@example(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2)
+def test_power_matches_dense_oracle_and_sympy(a, k):
+    ours = a.power(k)
+    assert ours == dense_power(a, k)
+    assert _sympy_matrix(ours) == _sympy_matrix(a) ** k
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example(Matrix.zeros(0, 4))
+@example(Matrix.zeros(3, 0))
+@example(Matrix.zeros(0, 0))
+@example(Matrix.identity(4))
+def test_rank_matches_dense_oracle_and_sympy(a):
+    assert a.rank() == len(dense_rref(a)[1]) == _sympy_matrix(a).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example(Matrix.zeros(0, 0))
+@example(Matrix.zeros(3, 3))
+@example(Matrix([[1, 2], [2, 4]]))
+@example(Matrix([[0, 1], [1, 0]]))
+def test_inverse_matches_dense_oracle_and_sympy(a):
+    ours = a.inverse()
+    assert ours == dense_inverse(a)
+    sym = _sympy_matrix(a)
+    if sym.det() == 0:
+        assert ours is None
+    else:
+        assert ours.shape == a.shape
+        assert _sympy_matrix(ours) == sym.inv()
+
+
+def test_inverse_and_power_reject_bad_input():
+    with pytest.raises(NotSquare):
+        Matrix.zeros(2, 3).inverse()
+    with pytest.raises(ValueError):
+        Matrix.identity(2).power(-1)
+
+
+def test_matmul_makes_no_dense_dot_products(monkeypatch):
+    q = sl_n_transpose(3)
+    expected = [dense_matmul(a, b) for a, b in ((q.alpha, q.gram), (q.gram, q.gram))]
+
+    def no_dot(u, v):
+        raise AssertionError("dense dot product in a matrix product")
+
+    monkeypatch.setattr(exactlin, "dot", no_dot)
+    assert [q.alpha @ q.gram, q.gram @ q.gram] == expected
+
+
+def test_power_rank_and_inverse_build_no_identity_and_no_dense_rref(monkeypatch):
+    a = sl_n_transpose(3).alpha
+    singular = Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    expected = [dense_power(a, k) for k in range(1, 8)], a.rank(), dense_inverse(a), 2
+
+    def forbidden(*args):
+        raise AssertionError("identity matrix or dense rref")
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(forbidden))
+    monkeypatch.setattr(Matrix, "rref", forbidden)
+    assert ([a.power(k) for k in range(1, 8)], a.rank(), a.inverse(), singular.rank()) == expected
+    assert singular.inverse() is None
+
+
+def test_is_nilpotent_matrix_of_the_identity_makes_six_products(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted_matmul(self, other):
+        calls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    assert not is_nilpotent_matrix(Matrix.identity(15))
+    assert len(calls) == 6
+
+
+def test_zero_row_matrices_keep_their_width():
+    z03 = Matrix.zeros(0, 3)
+    assert Matrix.zeros(3, 0).transpose().shape == (0, 3)
+    assert (z03 @ Matrix.identity(3)).shape == (0, 3)
+    assert z03.scale(2).shape == (0, 3)
+    assert (z03 + z03).shape == (z03 - z03).shape == (-z03).shape == (0, 3)
+    assert Matrix.from_cols([[], [], []]).shape == (0, 3)
+    assert Matrix.block_diagonal([z03]).shape == (0, 3)
+    assert kernel(Matrix.zeros(3, 0).transpose()) == Subspace.full(3)
+    assert z03 == Matrix([], cols=3)
+    assert z03 != Matrix.zeros(0, 5)
+    assert Matrix.zeros(0, 0) != z03
