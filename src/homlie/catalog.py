@@ -262,13 +262,41 @@ def fixture_names() -> list[tuple[str, str]]:
     return [(name, sig) for name, (sig, _, _) in sorted(_FIXTURES.items())]
 
 
+# the largest dimension ``emit`` builds: near it, sl_n_transpose 16 (dimension
+# 255) takes 11-16 s on a 2-core machine and writes a 16 MB file, while a few
+# more parameter digits would exhaust memory
+MAX_EMIT_DIM = 256
+
+# sized fixture -> (number of leading size parameters, dimension from them)
+_DIMENSIONS = {
+    "abelian": (1, lambda n: n),
+    "sl_n_transpose": (1, lambda n: n * n - 1),
+    "swap_double": (1, lambda n: 2 * (n * n - 1)),
+    "filiform": (1, lambda n: n + 1),
+    "two_nilpotent": (2, lambda dim_v, dim_z: dim_v + dim_z),
+}
+
+
 def emit(name: str, *params):
-    """Build a registered fixture; raises UnknownFixture / BadParams."""
+    """Build a registered fixture; raises UnknownFixture / BadParams.
+
+    A sized fixture's dimension is worked out from its parameters first,
+    and one over ``MAX_EMIT_DIM`` raises BadParams before anything is built.
+    """
     if name not in _FIXTURES:
         raise UnknownFixture(name)
     _, builder, arity = _FIXTURES[name]
     if arity >= 0 and len(params) != arity:
         raise BadParams(f"{name} expects {arity} parameter(s)")
+    if name in _DIMENSIONS:
+        k, dimension = _DIMENSIONS[name]
+        if len(params) < k:
+            raise BadParams(f"{name} expects at least {k} parameters")
+        sizes = [_size(p) for p in params[:k]]
+        dim = dimension(*sizes)
+        # a size below the fixture's minimum is left to the builder's own error
+        if min(sizes) > 0 and dim > MAX_EMIT_DIM:
+            raise BadParams(f"{name} would have dimension {dim}, over the limit {MAX_EMIT_DIM}")
     return builder(*params)
 
 

@@ -2,17 +2,20 @@
 
 Matrices over ``fractions.Fraction``, canonical subspaces, and one exact
 elimination kernel that works on sparse rows (``{column: nonzero value}``
-dicts).  Subspaces are kept in reduced row-echelon form with no zero rows, so
-equality of subspaces is plain equality of their basis matrices.  Everything
-here except the sparse rows handed to the kernel is immutable; no floating
-point anywhere.
+dicts).  The kernel is fraction-free: it clears a row's denominators once,
+then eliminates by integer cross-multiplication and divides out each row's
+content, so Fractions are made only where dense values are read.  Subspaces
+are kept in reduced row-echelon form with no zero rows, so equality of
+subspaces is plain equality of their basis matrices.  Everything here except
+the sparse rows handed to the kernel is immutable; no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
@@ -220,7 +223,7 @@ class Matrix:
         space first, then zero rows.
         """
         reduced, pivots = _reduce(sparse_rows(self.data))
-        rows = [dense_row(r, self.cols) for r in reduced]
+        rows = [_rref_row(r, p, self.cols) for r, p in zip(reduced, pivots)]
         rows += [zero_vec(self.cols)] * (self.rows - len(rows))
         return Matrix(rows, cols=self.cols), pivots
 
@@ -231,10 +234,10 @@ class Matrix:
         """Exact inverse, or None when singular: the right block of the sparse rref of [self | I]."""
         self._square()
         n = self.rows
-        reduced, pivots = _reduce([{**r, n + i: _ONE} for i, r in enumerate(sparse_rows(self.data))])
+        reduced, pivots = _reduce([{**r, n + i: 1} for i, r in enumerate(sparse_rows(self.data))])
         if pivots != tuple(range(n)):
             return None
-        return Matrix([dense_row(r, 2 * n)[n:] for r in reduced], cols=n)
+        return Matrix([_rref_row(r, p, 2 * n)[n:] for r, p in zip(reduced, pivots)], cols=n)
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Monic characteristic polynomial, descending coefficients.
@@ -306,59 +309,83 @@ def dense_row(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _eliminate(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
-    """row -= f * prow in place, dropping the entries that cancel."""
-    for c, x in prow.items():
-        y = row.get(c)
-        if y is None:
-            row[c] = -f * x
-        else:
-            y -= f * x
-            if y:
-                row[c] = y
-            else:
-                del row[c]
+def _rref_row(row: dict[int, int], pivot: int, n: int) -> tuple[Fraction, ...]:
+    """The length-n RREF row of an integer pivot row: each entry over the pivot entry."""
+    d = row[pivot]
+    out = [_ZERO] * n
+    for c, x in row.items():
+        out[c] = Fraction(x, d)
+    return tuple(out)
 
 
-def _insert_row(
-    echelon: dict[int, dict[int, Fraction]], row: dict[int, Fraction]
-) -> dict[int, Fraction] | None:
-    """One elimination step: reduce a sparse row, which it consumes, into an echelon.
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive form of (a/g) row - (b/g) prow, a = prow[c], b = row[c], g = gcd(a, b).
 
-    The row is reduced on its first nonzero column against the pivot rows,
-    keyed by pivot column, until it vanishes (None) or starts at a new
-    pivot column, where it is stored with a leading 1 and returned.
+    Column c and every other entry that cancels are dropped.  The row may be
+    written to; the pivot row is left unchanged.
     """
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = row.get(j, 0) - b * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    return row if g < 2 else {j: x // g for j, x in row.items()}
+
+
+def _insert_row(echelon: dict[int, dict[int, int]], row: dict) -> dict[int, int] | None:
+    """One elimination step: reduce a sparse row into an echelon.
+
+    The row's entries may be ints or Fractions.  A copy of it is made a
+    primitive integer row at once, by one lcm of its denominators and one
+    gcd of the cleared entries; the row itself is left unchanged.  The copy
+    is reduced on its first nonzero column against the pivot rows, keyed by
+    pivot column, until it vanishes (None) or starts at a new pivot column,
+    where it is stored with a positive pivot entry and returned.
+    """
+    den = lcm(*[x.denominator for x in row.values()])
+    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        row = {c: x // g for c, x in row.items()}
     while row:
         c = min(row)
         prow = echelon.get(c)
         if prow is None:
-            pv = row[c]
-            echelon[c] = row = row if pv == 1 else {j: x / pv for j, x in row.items()}
+            if row[c] < 0:
+                row = {j: -x for j, x in row.items()}
+            echelon[c] = row
             return row
-        _eliminate(row, row[c], prow)
+        row = _eliminate(row, prow, c)
     return None
 
 
-def _reduce(
-    rows: Iterable[dict[int, Fraction]],
-) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
-    """Canonical RREF of the span of sparse rows, which it consumes.
+def _reduce(rows: Iterable[dict]) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """Canonical RREF of the span of sparse rows, which it leaves unchanged.
 
     Each row in turn goes through ``_insert_row``.  Back-substitution, last
     pivot first, then clears every pivot column from the other rows.
-    Returns the nonzero rows in pivot order, each with a leading 1, and
-    their pivot columns.  RREF is unique, so the result does not depend on
-    the order of the rows.
+    Returns the nonzero rows in pivot order and their pivot columns.  Each
+    row is the RREF row scaled to a primitive integer row with a positive
+    pivot entry, a scaling as unique as a leading 1, so the result does not
+    depend on the order of the rows.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         _insert_row(echelon, row)
     pivots = sorted(echelon)
     for p in reversed(pivots):
         row = echelon[p]
         for c in [c for c in row if c != p and c in echelon]:
-            _eliminate(row, row[c], echelon[c])
+            row = _eliminate(row, echelon[c], c)
+        echelon[p] = row
     return [echelon[p] for p in pivots], tuple(pivots)
 
 
@@ -368,11 +395,15 @@ def solve_rows(
     """Solutions of sparse linear equations, from one reduction.
 
     Each row maps unknowns 0..ncols-1 to their nonzero coefficients, with
-    the right-hand side, when nonzero, under key ``ncols``.  The rows are
-    consumed.  Returns a particular solution with its free unknowns zero,
-    or None when the system is inconsistent, and the kernel of the
-    coefficient rows: the left block of rref([A | b]) is rref(A).
+    the right-hand side, when nonzero, under key ``ncols``; any other key
+    raises ``DimensionMismatch``.  The rows are left unchanged.  Returns a
+    particular solution with its free unknowns zero, or None when the
+    system is inconsistent, and the kernel of the coefficient rows: the
+    left block of rref([A | b]) is rref(A).
     """
+    rows = list(rows)
+    if any(row and (min(row) < 0 or max(row) > ncols) for row in rows):
+        raise DimensionMismatch(f"equations in {ncols} unknowns need keys in 0..{ncols}")
     reduced, pivots = _reduce(rows)
     particular = None
     if pivots and pivots[-1] == ncols:
@@ -380,15 +411,17 @@ def solve_rows(
     else:
         sol = [_ZERO] * ncols
         for row, p in zip(reduced, pivots):
-            sol[p] = row.get(ncols, _ZERO)
+            if ncols in row:
+                sol[p] = Fraction(row[ncols], row[p])
         particular = tuple(sol)
     # each free unknown f gives e_f - sum_p rref[p][f] e_p
     pivot_set = set(pivots)
-    null = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
+    null = {f: {f: 1} for f in range(ncols) if f not in pivot_set}
     for row, p in zip(reduced, pivots):
+        d = row[p]
         for f, x in row.items():
             if f != p and f < ncols:
-                null[f][p] = -x
+                null[f][p] = Fraction(-x, d)
     return particular, Subspace._canonical(ncols, *_reduce(null.values()))
 
 
@@ -396,8 +429,9 @@ class Subspace:
     """Subspace of Q^n stored as an RREF basis matrix with no zero rows.
 
     ``pivots[r]`` is the pivot column of basis row r.  The private ``_rows``
-    hold the same basis as the sparse rows the elimination kernel made; the
-    readers reduce against them and never write them.
+    hold the same basis as the primitive integer rows the elimination kernel
+    made, each a positive multiple of its basis row; the readers reduce
+    against them and never write them.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
@@ -408,21 +442,20 @@ class Subspace:
             raise DimensionMismatch("basis vectors must match ambient dimension")
         self._set(ambient_dim, *_reduce(sparse_rows(basis.data)))
 
-    def _set(self, ambient_dim: int, rows: Sequence[dict[int, Fraction]], pivots: Iterable[int]):
+    def _set(self, ambient_dim: int, rows: Sequence[dict[int, int]], pivots: Iterable[int]):
+        pivots = tuple(pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        dense = [dense_row(r, ambient_dim) for r in rows]
+        dense = [_rref_row(r, p, ambient_dim) for r, p in zip(rows, pivots)]
         object.__setattr__(self, "basis", Matrix(dense) if dense else Matrix.zeros(0, ambient_dim))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_rows", tuple(rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _canonical(
-        cls, ambient_dim: int, rows: Sequence[dict[int, Fraction]], pivots: Iterable[int]
-    ) -> "Subspace":
-        """The subspace whose RREF basis, as sparse rows without zero rows, is known; it keeps them."""
+    def _canonical(cls, ambient_dim: int, rows: Sequence[dict[int, int]], pivots: Iterable[int]) -> "Subspace":
+        """The subspace whose RREF basis, as the kernel's primitive integer rows, is known; it keeps them."""
         space = object.__new__(cls)
         space._set(ambient_dim, rows, pivots)
         return space
@@ -438,7 +471,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         n = ambient_dim
-        return cls._canonical(n, [{i: _ONE} for i in range(n)], range(n))
+        return cls._canonical(n, [{i: 1} for i in range(n)], range(n))
 
     @property
     def dim(self) -> int:
@@ -473,12 +506,11 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
         echelon = dict(zip(self.pivots, self._rows))
-        return all(_insert_row(echelon, dict(r)) is None for r in other._rows)
+        return all(_insert_row(echelon, r) is None for r in other._rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        rows = [dict(r) for r in self._rows + other._rows]
-        return Subspace._canonical(self.ambient_dim, *_reduce(rows))
+        return Subspace._canonical(self.ambient_dim, *_reduce(self._rows + other._rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: U cap V read off rref[U|U; V|0].
@@ -488,7 +520,7 @@ class Subspace:
         self._same_ambient(other)
         n = self.ambient_dim
         top = [{**r, **{n + c: x for c, x in r.items()}} for r in self._rows]
-        reduced, pivots = _reduce(top + [dict(r) for r in other._rows])
+        reduced, pivots = _reduce(top + list(other._rows))
         rows = [{c - n: x for c, x in r.items()} for r, p in zip(reduced, pivots) if p >= n]
         return Subspace._canonical(n, rows, [p - n for p in pivots if p >= n])
 
@@ -500,8 +532,8 @@ class Subspace:
         """
         n = self.ambient_dim
         echelon = dict(zip(self.pivots, self._rows))
-        chosen = [i for i in range(n) if _insert_row(echelon, {i: _ONE}) is not None]
-        return Subspace._canonical(n, [{i: _ONE} for i in chosen], chosen)
+        chosen = [i for i in range(n) if _insert_row(echelon, {i: 1}) is not None]
+        return Subspace._canonical(n, [{i: 1} for i in chosen], chosen)
 
     def __eq__(self, other) -> bool:
         return (
@@ -540,8 +572,7 @@ def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace)
         raise DimensionMismatch(f"spin_up needs generators of {n} sparse columns in Q^{n}")
     if seed.is_zero():
         return seed
-    # copies: the back-substitution below writes to the pivot rows
-    echelon = {p: dict(r) for p, r in zip(seed.pivots, seed._rows)}
+    echelon = dict(zip(seed.pivots, seed._rows))
     todo = list(echelon.values())
     while todo and len(echelon) < n:
         row = todo.pop()
@@ -652,6 +683,12 @@ def rational_eigenpairs(a: Matrix) -> list[tuple[Fraction, Subspace]]:
 
 
 def eigenspace(rows: Sequence[dict[int, Fraction]], lam: Fraction) -> Subspace:
-    """{x : (m - lam) x = 0}, m the square matrix whose sparse rows are rows (left unchanged)."""
+    """{x : (m - lam) x = 0}, m the square matrix whose sparse rows are rows (left unchanged).
+
+    A key outside 0..n-1, n the number of rows, raises ``DimensionMismatch``.
+    """
+    n = len(rows)
+    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
+        raise DimensionMismatch(f"the sparse rows of a {n} x {n} matrix need keys in 0..{n - 1}")
     shifted = [sparse_row(chain(row.items(), [(i, -lam)])) for i, row in enumerate(rows)]
     return solve_rows(shifted, len(shifted))[1]

@@ -34,6 +34,33 @@ def test_emit_dispatch_and_errors():
         catalog.emit("jackson_sl2", 0)
 
 
+# each sized fixture just over the dimension limit, and its dimension there
+OVER_THE_LIMIT = [
+    (("abelian", 257), 257),
+    (("sl_n_transpose", 17), 288),
+    (("swap_double", 12), 286),
+    (("filiform", 256, 1), 257),
+    (("two_nilpotent", 200, 57), 257),
+]
+
+
+@pytest.mark.parametrize("params, dim", OVER_THE_LIMIT, ids=[p[0][0] for p in OVER_THE_LIMIT])
+def test_emit_refuses_a_fixture_over_the_dimension_limit(params, dim):
+    with pytest.raises(BadParams, match=f"dimension {dim}, over the limit {catalog.MAX_EMIT_DIM}"):
+        catalog.emit(*params)
+
+
+def test_emit_builds_up_to_the_dimension_limit():
+    assert catalog.MAX_EMIT_DIM == 256
+    for params in (("abelian", 256), ("filiform", 255, 1), ("two_nilpotent", 128, 128)):
+        assert catalog.emit(*params).dim == 256
+    # sizes below a fixture's minimum keep the builder's own error
+    with pytest.raises(BadParams, match="sl_n needs n >= 2"):
+        catalog.emit("sl_n_transpose", -20)
+    with pytest.raises(BadParams, match="at least 2"):
+        catalog.emit("two_nilpotent", 3)
+
+
 def test_fixture_names_registry():
     names = [n for n, _ in catalog.fixture_names()]
     for expected in (

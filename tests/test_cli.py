@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -520,6 +521,28 @@ def test_cli_catalog_rejects_fractional_sizes(tmp_path, params):
     r = run_cli(["catalog", "emit", *params, "--out", "x.json"], tmp_path)
     assert r.returncode == 2, r.stdout
     assert "must be an integer" in r.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("abelian", "257"),
+        ("sl_n_transpose", "17"),
+        ("swap_double", "12"),
+        ("filiform", "256", "1"),
+        ("two_nilpotent", "200", "57"),
+        ("two_nilpotent", "3"),
+    ],
+    ids=["abelian", "sl_n_transpose", "swap_double", "filiform", "two_nilpotent", "two_nilpotent-one-size"],
+)
+def test_cli_catalog_emit_refuses_oversized_fixtures_at_once(tmp_path, params):
+    start = time.perf_counter()
+    r = run_cli(["catalog", "emit", *params, "--out", "x.json"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+    assert elapsed < 1.0
     assert not (tmp_path / "x.json").exists()
 
 

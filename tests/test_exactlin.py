@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,10 +43,10 @@ fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, values=fractions_st):
     """Mostly-zero matrices, often rank-deficient or tall, with zero rows mixed in."""
     cols = draw(st.integers(0, 8))
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), values)
     base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
     rows = list(base)
     if base:
@@ -187,10 +189,10 @@ def test_intersection_trivial():
 
 
 @st.composite
-def subspace_pairs(draw):
+def subspace_pairs(draw, values=fractions_st):
     """Two subspaces of one Q^n; v also takes combinations of u's rows, so they often meet."""
     n = draw(st.integers(0, 6))
-    entry = st.one_of(st.just(Fraction(0)), fractions_st)
+    entry = st.one_of(st.just(Fraction(0)), values)
     rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
     a, b = draw(rows), draw(rows)
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)), max_size=2))
@@ -234,13 +236,13 @@ def test_complement_matches_greedy_oracle(a):
 
 
 @st.composite
-def spin_cases(draw):
+def spin_cases(draw, values=fractions_st):
     """Mostly-zero square generators, so that proper invariant subspaces are common, and a seed."""
     n = draw(st.integers(0, 5))
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), values)
     rows = st.lists(entry, min_size=n, max_size=n)
     gens = draw(st.lists(st.lists(rows, min_size=n, max_size=n).map(lambda d: Matrix(d, cols=n)), max_size=3))
-    seed_entry = st.one_of(st.just(Fraction(0)), fractions_st)
+    seed_entry = st.one_of(st.just(Fraction(0)), values)
     seed_rows = st.lists(st.lists(seed_entry, min_size=n, max_size=n), min_size=1, max_size=3)
     seed = Subspace(n, Matrix(draw(seed_rows), cols=n))
     return gens, seed
@@ -586,11 +588,11 @@ def test_rref_matches_dense_oracle_and_sympy(a):
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, values=fractions_st):
     """Square matrices up to 6 x 6: dense, mostly zero, nilpotent or rank-deficient."""
     n = draw(st.integers(0, 6))
     kind = draw(st.sampled_from(("dense", "sparse", "nilpotent", "rank_deficient")))
-    entry = fractions_st if kind == "dense" else st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+    entry = values if kind == "dense" else st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), values)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     if kind == "nilpotent":
         # strictly upper triangular after relabelling the basis by p
@@ -768,3 +770,165 @@ def test_zero_row_matrices_keep_their_width():
     assert z03 == Matrix([], cols=3)
     assert z03 != Matrix.zeros(0, 5)
     assert Matrix.zeros(0, 0) != z03
+
+
+# -- the elimination kernel on primitive integer rows ---------------------------
+#
+# ``_reduce`` keeps each RREF row as the primitive integer row with a positive
+# pivot entry that is a multiple of it.  These tests feed it integers, small
+# rationals, and integers and rationals of 30 digits or more, and compare every
+# reader of its rows with the dense oracles and sympy.  RREF is unique, so
+# bases must be equal exactly.
+
+BIG = 10**30
+wide_st = st.one_of(
+    st.integers(-9, 9).filter(bool).map(Fraction),
+    fractions_st.filter(bool),
+    st.integers(BIG, 10**40).map(Fraction),
+    st.integers(-(10**40), -BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**40), 10**40).filter(bool), st.integers(BIG, 10**35)),
+)
+
+
+def _sympy_rref_rows(rows, n):
+    """The nonzero rows of sympy's RREF of the span of rows in Q^n, as Fraction tuples."""
+    if not rows:
+        return ()
+    ref, pivots = sympy.Matrix(len(rows), n, [x for r in rows for x in r]).rref()
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in ref.row(i)) for i in range(len(pivots)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(wide_st))
+@example(Matrix.zeros(0, 3))
+@example(Matrix.zeros(2, 3))
+@example(Matrix([[BIG, 1], [BIG + 1, 1]]))
+@example(Matrix([[Fraction(1, BIG), Fraction(2, 3)], [Fraction(2, BIG), Fraction(4, 3)]]))
+def test_reduce_gives_primitive_integer_multiples_of_the_rref_rows(a):
+    rows = sparse_rows(a.data)
+    reduced, pivots = exactlin._reduce(rows)
+    assert rows == sparse_rows(a.data)
+    red, dense_pivots = dense_rref(a)
+    assert pivots == dense_pivots
+    for row, p, want in zip(reduced, pivots, red.data):
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert tuple(Fraction(row.get(j, 0), row[p]) for j in range(a.cols)) == want
+    assert red.data[: len(pivots)] == _sympy_rref_rows(
+        [[_rational(x) for x in r] for r in a.data], a.cols
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(wide_st), st.data())
+def test_solve_rows_and_kernel_match_the_oracles_on_wide_entries(a, data):
+    entry = st.one_of(st.just(Fraction(0)), wide_st)
+    b = data.draw(st.lists(entry, min_size=a.rows, max_size=a.rows), label="b")
+    particular, ker = solve_rows(equations(a, b), a.cols)
+    expected = dense_solve(a, Matrix([[y] for y in b], cols=1))
+    assert particular == (None if expected is None else expected.col(0))
+    assert (ker.basis.data, ker.pivots) == dense_kernel(a) == (kernel(a).basis.data, kernel(a).pivots)
+    sym = _sympy_matrix(a)
+    augmented = sym.row_join(sympy.Matrix(a.rows, 1, [_rational(y) for y in b]))
+    assert (particular is None) == (sym.rank() != augmented.rank())
+    null = [list(v) for v in sym.nullspace()] if a.cols else []
+    assert ker.basis.data == _sympy_rref_rows(null, a.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs(wide_st), st.lists(wide_st, max_size=6))
+@example((Subspace.zero(2), Subspace.full(2)), [])
+@example((Subspace.from_vectors(2, [[BIG, 1]]), Subspace.from_vectors(2, [[1, Fraction(1, BIG)]])), [7, 7])
+def test_subspace_operations_match_the_oracles_on_wide_entries(pair, probe):
+    u, v = pair
+    n = u.ambient_dim
+    probe = (probe + [Fraction(0)] * n)[:n]
+    for a, b in ((u, v), (v, u)):
+        joint = dense_span(a.vectors() + b.vectors(), n)
+        s, w, c = a.sum(b), a.intersect(b), a.complement()
+        assert (s.basis.data, s.pivots) == joint
+        assert s.basis.data == _sympy_rref_rows([[_rational(x) for x in r] for r in a.vectors() + b.vectors()], n)
+        assert (w.basis.data, w.pivots) == dense_intersection(a, b)
+        assert (c.basis.data, c.pivots) == dense_complement(a)
+        assert a.contains(b) == (len(joint[1]) == a.dim)
+        for x in b.vectors() + (tuple(probe),):
+            assert a.contains_vector(x) == (len(dense_span(a.vectors() + (x,), n)[1]) == a.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(wide_st))
+@example(Matrix([[BIG, BIG + 1], [BIG - 1, BIG]]))
+@example(Matrix([[Fraction(1, BIG), 1], [1, BIG]]))
+def test_rank_and_inverse_match_the_oracles_on_wide_entries(a):
+    sym = _sympy_matrix(a)
+    assert a.rank() == len(dense_rref(a)[1]) == sym.rank()
+    inverse = a.inverse()
+    assert inverse == dense_inverse(a)
+    assert (inverse is None) == (sym.det() == 0)
+    if inverse is not None:
+        assert _sympy_matrix(inverse) == sym.inv()
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(wide_st), st.one_of(st.just(Fraction(0)), wide_st))
+def test_eigenspace_matches_the_oracles_on_wide_entries(r, lam):
+    # m = r + lam I has the eigenspace ker(r) at lam; r is often singular
+    m = r + Matrix.identity(r.rows).scale(lam)
+    space = eigenspace(sparse_rows(m.data), lam)
+    assert (space.basis.data, space.pivots) == dense_kernel(r)
+    null = [list(v) for v in _sympy_matrix(r).nullspace()] if r.rows else []
+    assert space.basis.data == _sympy_rref_rows(null, r.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_cases(wide_st))
+def test_spin_up_matches_the_round_based_oracle_on_wide_entries(case):
+    gens, seed = case
+    s = spin_up(columns(gens), seed)
+    assert (s.basis.data, s.pivots) == dense_spin_up(gens, seed)
+
+
+def test_solve_rows_and_contains_do_no_fraction_arithmetic(monkeypatch):
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rows = [
+        {0: half, 1: Fraction(-2, 3), 3: Fraction(5, 7), 4: third},
+        {1: Fraction(3, 4), 2: third, 4: Fraction(-1, 5)},
+        {0: Fraction(1, 6), 1: Fraction(5, 12), 2: Fraction(1, 3), 3: Fraction(5, 14), 4: Fraction(-1, 30)},
+    ]
+    a = Matrix([[r.get(j, 0) for j in range(4)] for r in rows])
+    b = [r.get(4, 0) for r in rows]
+    expected = dense_solve(a, Matrix([[y] for y in b])).col(0), dense_kernel(a)
+    u = Subspace.from_vectors(4, a.data)
+    inside = Subspace.from_vectors(4, [[x - 2 * y + 3 * z for x, y, z in zip(*a.data)], a.data[1]])
+    pairs = [(u, inside), (inside, u), (u, Subspace.full(4))]
+    contains = [len(dense_span(x.vectors() + y.vectors(), 4)[1]) == x.dim for x, y in pairs]
+    calls = Counter()
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+
+        def counted(self, other, op=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return op(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    particular, ker = solve_rows(rows, 4)
+    contained = [x.contains(y) for x, y in pairs]
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert (particular, (ker.basis.data, ker.pivots)) == expected
+    assert contained == contains == [True, u.dim == inside.dim, False]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_rows([{-1: 1}], 2),
+        lambda: solve_rows([{-3: 1}, {0: 1, 1: 1}], 2),
+        lambda: solve_rows([{5: 1}], 2),
+        lambda: eigenspace([{-1: 1}, {}], 0),
+        lambda: eigenspace([{1: 1}], 0),
+    ],
+    ids=["solve-negative", "solve-negative-first", "solve-past-rhs", "eigenspace-negative", "eigenspace-rhs-column"],
+)
+def test_solve_rows_and_eigenspace_reject_out_of_range_columns(call):
+    with pytest.raises(DimensionMismatch):
+        call()
