@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
-from typing import Optional
 
 from .build import (
     ExtensionData1D,
@@ -223,7 +222,7 @@ def _compose_embedding(embedding: Subspace, inner: Subspace) -> Subspace:
 # solvability and radicals
 # ---------------------------------------------------------------------------
 
-def is_solvable(g: HomAlgebra, i: Optional[Subspace] = None) -> bool:
+def is_solvable(g: HomAlgebra, i: Subspace | None = None) -> bool:
     """Derived series test: D0 = i (or g), D(k+1) = span[Dk, Dk], reach 0."""
     current = i if i is not None else Subspace.full(g.dim)
     if i is not None:
@@ -296,7 +295,7 @@ class SimplicityVerdict:
     """
 
     tag: str
-    witness: Optional[Subspace] = None
+    witness: Subspace | None = None
 
 
 def simplicity_verdict(g: HomAlgebra) -> SimplicityVerdict:
@@ -393,7 +392,7 @@ class DoubleExtensionWitness:
     base: QuadraticHomAlgebra
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+def _rational_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
@@ -402,7 +401,7 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _isotropic_in_eigenspace(q: QuadraticHomAlgebra, eig_vectors) -> Optional[tuple]:
+def _isotropic_in_eigenspace(q: QuadraticHomAlgebra, eig_vectors) -> tuple | None:
     b = q.form
     vecs = list(eig_vectors)
     for v in vecs:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, combinations_with_replacement, product
 
 from .build import (
     change_basis,
@@ -23,7 +23,7 @@ from .build import (
     yau_twist,
 )
 from .errors import BadParams, UnknownFixture
-from .exactlin import Matrix, frac, solve_rows, sparse_row, unit_vec, zero_vec
+from .exactlin import Matrix, combine_rows, frac, solve_rows, sparse_row, sparse_rows, unit_vec, zero_vec
 from .homalg import AssocAlgebra, BilinearForm, HomAlgebra, QuadraticHomAlgebra
 
 _ONE = Fraction(1)
@@ -244,37 +244,35 @@ def assoc_a(q) -> AssocAlgebra:
     return AssocAlgebra(4, prod, Matrix(alpha_rows))
 
 
-_FIXTURES = {
-    "ex_1_2": ("a b c d", ex_1_2, 4),
-    "jackson_sl2": ("q", jackson_sl2, 1),
-    "sl2": ("", lambda: sl2(), 0),
-    "heis3": ("", lambda: heis3(), 0),
-    "abelian": ("n", abelian, 1),
-    "sl_n_transpose": ("n", sl_n_transpose, 1),
-    "swap_double": ("n", swap_double, 1),
-    "filiform": ("n lambda", filiform, 2),
-    "two_nilpotent": ("dim_v dim_z lambda-entries...", two_nilpotent, -1),
-    "assoc_a": ("q", assoc_a, 1),
-}
-
-
-def fixture_names() -> list[tuple[str, str]]:
-    return [(name, sig) for name, (sig, _, _) in sorted(_FIXTURES.items())]
-
-
 # the largest dimension ``emit`` builds: near it, sl_n_transpose 16 (dimension
 # 255) takes 11-16 s on a 2-core machine and writes a 16 MB file, while a few
 # more parameter digits would exhaust memory
 MAX_EMIT_DIM = 256
 
-# sized fixture -> (number of leading size parameters, dimension from them)
-_DIMENSIONS = {
-    "abelian": (1, lambda n: n),
-    "sl_n_transpose": (1, lambda n: n * n - 1),
-    "swap_double": (1, lambda n: 2 * (n * n - 1)),
-    "filiform": (1, lambda n: n + 1),
-    "two_nilpotent": (2, lambda dim_v, dim_z: dim_v + dim_z),
+
+def _x1_to_x3(*_):
+    return ["x1", "x2", "x3"]
+
+
+# name -> (signature, builder, arity or -1 for any, (number of leading size
+# parameters, dimension from them) or None, basis names from the parameters
+# when natural ones exist, else None)
+_FIXTURES = {
+    "ex_1_2": ("a b c d", ex_1_2, 4, None, _x1_to_x3),
+    "jackson_sl2": ("q", jackson_sl2, 1, None, _x1_to_x3),
+    "sl2": ("", sl2, 0, None, lambda *_: ["e", "f", "h"]),
+    "heis3": ("", heis3, 0, None, _x1_to_x3),
+    "abelian": ("n", abelian, 1, (1, lambda n: n), None),
+    "sl_n_transpose": ("n", sl_n_transpose, 1, (1, lambda n: n * n - 1), None),
+    "swap_double": ("n", swap_double, 1, (1, lambda n: 2 * (n * n - 1)), None),
+    "filiform": ("n lambda", filiform, 2, (1, lambda n: n + 1), lambda *p: [f"x{i}" for i in range(_size(p[0]) + 1)]),
+    "two_nilpotent": ("dim_v dim_z lambda-entries...", two_nilpotent, -1, (2, lambda dim_v, dim_z: dim_v + dim_z), None),
+    "assoc_a": ("q", assoc_a, 1, None, lambda *_: ["e", "f", "h", "t"]),
 }
+
+
+def fixture_names() -> list[tuple[str, str]]:
+    return [(name, entry[0]) for name, entry in sorted(_FIXTURES.items())]
 
 
 def emit(name: str, *params):
@@ -285,11 +283,11 @@ def emit(name: str, *params):
     """
     if name not in _FIXTURES:
         raise UnknownFixture(name)
-    _, builder, arity = _FIXTURES[name]
+    _, builder, arity, sized, _ = _FIXTURES[name]
     if arity >= 0 and len(params) != arity:
         raise BadParams(f"{name} expects {arity} parameter(s)")
-    if name in _DIMENSIONS:
-        k, dimension = _DIMENSIONS[name]
+    if sized:
+        k, dimension = sized
         if len(params) < k:
             raise BadParams(f"{name} expects at least {k} parameters")
         sizes = [_size(p) for p in params[:k]]
@@ -302,17 +300,8 @@ def emit(name: str, *params):
 
 def basis_names(name: str, *params) -> list[str] | None:
     """Display names for a fixture's basis, when natural ones exist."""
-    if name in ("ex_1_2", "jackson_sl2"):
-        return ["x1", "x2", "x3"]
-    if name == "sl2":
-        return ["e", "f", "h"]
-    if name == "heis3":
-        return ["x1", "x2", "x3"]
-    if name == "filiform":
-        return [f"x{i}" for i in range(_size(params[0]) + 1)]
-    if name == "assoc_a":
-        return ["e", "f", "h", "t"]
-    return None
+    entry = _FIXTURES.get(name)
+    return entry[4](*params) if entry and entry[4] else None
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +388,58 @@ def _nilpotent_block(size: int) -> QuadraticHomAlgebra:
     return QuadraticHomAlgebra(alg, BilinearForm(size, Matrix(gram)))
 
 
-def _twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[dict[int, Fraction]]:
-    """Sparse linear rows in the entries of D (row major): first
-    (a D a - lam D)[i][j], then (D^T gram + gram D)[i][j], for all i, j, with
-    a the twist of q."""
-    n = q.dim
-    a, gram = q.alpha, q.gram
-    a_rows = [[(r, x) for r, x in enumerate(a.row(i)) if x] for i in range(n)]
-    a_cols = [[(s, x) for s, x in enumerate(a.col(j)) if x] for j in range(n)]
+def _solutions(n: int, equations) -> tuple[Matrix | None, list[Matrix]]:
+    """Solutions D, n x n, of equations (terms, w) meaning sum u^T D v = w over the (u, v) in terms.
+
+    Only this code flattens D (row major).  Returns a particular solution and
+    a homogeneous basis, or (None, []) when the system is inconsistent.
+    """
     rows = [
         sparse_row(chain(
-            ((r * n + s, x * y) for r, x in a_rows[i] for s, y in a_cols[j]),
-            [(i * n + j, -lam)],
+            ((i * n + j, x * y) for u, v in terms for i, x in u.items() for j, y in v.items()), [(n * n, w)]
         ))
-        for i in range(n)
-        for j in range(n)
+        for terms, w in equations
     ]
-    rows += [
-        sparse_row(chain(
-            ((r * n + i, gram[r, j]) for r in range(n)),
-            ((r * n + j, gram[i, r]) for r in range(n)),
-        ))
-        for i in range(n)
-        for j in range(n)
-    ]
-    return rows
+    particular, homogeneous = solve_rows(rows, n * n)
+    if particular is None:
+        return None, []
+    square = [Matrix([v[i * n : (i + 1) * n] for i in range(n)]) for v in (particular, *homogeneous.vectors())]
+    return square[0], square[1:]
 
 
-def _unflatten(v, n: int) -> Matrix:
-    """The n x n matrix whose entries, row major, are v."""
-    return Matrix([v[i * n : (i + 1) * n] for i in range(n)])
+def _twist_skew_equations(q: QuadraticHomAlgebra, lam: Fraction, r: Matrix):
+    """(a D a - lam D)[i][j] = r[i][j] and B(D x_i, x_j) + B(x_i, D x_j) = 0, a and B of q.
+
+    These are DE1 and skewness of a one-dimensional double extension, and
+    TDE2 and TDE3 of an involutive one with a one-dimensional extender.
+    """
+    n, gram_rows = q.dim, sparse_rows(q.gram.data)  # the form is symmetric
+    a_rows, a_cols = sparse_rows(q.alpha.data), sparse_rows(zip(*q.alpha.data))
+    for i, j in product(range(n), repeat=2):
+        yield [(a_rows[i], a_cols[j]), ({i: 1}, {j: -lam})], r[i, j]
+    for i, j in combinations_with_replacement(range(n), 2):  # the form identity is symmetric in i, j
+        yield [(gram_rows[j], {i: 1}), (gram_rows[i], {j: 1})], 0
+
+
+def _bracket_equations(g: HomAlgebra, left: Matrix, p: Matrix, q: Matrix, r: Matrix):
+    """L D [x_s, x_t] = [D P x_s, Q x_t] + [Q x_s, D P x_t] + R [x_s, x_t] for s < t.
+
+    This is the identity ``homalg.bracket_mismatch`` checks, one equation per
+    coordinate k.  The x_k coordinate of [y, Q x_t] is sum_m y_m [x_m, Q x_t]_k,
+    so right_q[t][k] = {m: [x_m, Q x_t]_k}.
+    """
+    n, ad = g.dim, g.ad_entries()  # ad: (k, t) -> (m, [x_m, x_t]_k)
+    left_rows, r_cols = sparse_rows(left.data), sparse_rows(zip(*r.data))
+    p_cols, neg_p_cols = sparse_rows(zip(*p.data)), sparse_rows(zip(*(-p).data))
+    right_q = [
+        [combine_rows((c, dict(ad.get((k, t), ()))) for t, c in q_col.items()) for k in range(n)]
+        for q_col in sparse_rows(zip(*q.data))
+    ]
+    for s, t in combinations(range(n), 2):
+        c_st = {m: x for m, x in enumerate(g.bracket.get((s, t), ())) if x}
+        rhs = combine_rows((x, r_cols[m]) for m, x in c_st.items())
+        for k in range(n):
+            yield [(left_rows[k], c_st), (right_q[t][k], neg_p_cols[s]), (right_q[s][k], p_cols[t])], rhs.get(k, 0)
 
 
 def extension_delta_space(q: QuadraticHomAlgebra, lam: Fraction, x0) -> tuple[Matrix, list[Matrix]]:
@@ -441,34 +452,10 @@ def extension_delta_space(q: QuadraticHomAlgebra, lam: Fraction, x0) -> tuple[Ma
     multiplicativity compatibilities are not linear and must be checked on
     each candidate afterwards.
     """
-    n = q.dim
-    g = q.algebra
-    a = q.alpha
-    adx0 = g.ad_vec(x0)
-    # (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]; delta skew for the form
-    rows = _twist_skew_rows(q, lam)
-    for row, rhs in zip(rows, (x for r in adx0.data for x in r)):
-        if rhs:
-            row[n * n] = rhs
-    # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s];
-    # the x_k coefficient of [x_p, a x_s] is sum over t of a[t][s] [x_p, x_t]_k
-    a_cols = [[(t, x) for t, x in enumerate(a.col(j)) if x] for j in range(n)]
-    ad = g.ad_entries()  # (k, t) -> (p, [x_p, x_t]_k)
-    for r in range(n):
-        for s in range(r + 1, n):
-            c_rs = g.basis_bracket(r, s)
-            adc = adx0.apply(c_rs)
-            for k in range(n):
-                rows.append(sparse_row(chain(
-                    ((k * n + m, lam * c) for m, c in enumerate(c_rs) if c),
-                    ((p * n + r, -x * c) for t, x in a_cols[s] for p, c in ad.get((k, t), ())),
-                    ((p * n + s, x * c) for t, x in a_cols[r] for p, c in ad.get((k, t), ())),
-                    [(n * n, -adc[k])],
-                )))
-    particular, homogeneous = solve_rows(rows, n * n)
-    if particular is None:
-        return None, []
-    return _unflatten(particular, n), [_unflatten(v, n) for v in homogeneous.vectors()]
+    ident, adx0 = Matrix.identity(q.dim), q.algebra.ad_vec(x0)
+    return _solutions(q.dim, chain(
+        _twist_skew_equations(q, lam, adx0), _bracket_equations(q.algebra, ident.scale(lam), ident, q.alpha, -adx0)
+    ))
 
 
 def random_extension_data(
@@ -520,24 +507,10 @@ def involutive_action_space(
     element yields valid involutive-extension data (the module axiom is
     automatic for a one-dimensional extender).
     """
-    n = v.dim
-    g = v.algebra
-    a = v.alpha
-    rows = _twist_skew_rows(v, eps)
-    a_rows = [[(p, x) for p, x in enumerate(a.row(k)) if x] for k in range(n)]
-    a_cols = [[(m, x) for m, x in enumerate(a.col(j)) if x] for j in range(n)]
-    ad = g.ad_entries()  # (k, s) -> (p, [x_p, x_s]_k)
-    for r in range(n):
-        for s in range(r + 1, n):
-            c_rs = [(m, c) for m, c in enumerate(g.basis_bracket(r, s)) if c]
-            for k in range(n):
-                # a[k,p] c_rs[m] - a[m,r] [x_p, x_s]_k - a[m,s] [x_r, x_p]_k at D[p][m]
-                rows.append(sparse_row(chain(
-                    ((p * n + m, x * c) for p, x in a_rows[k] for m, c in c_rs),
-                    ((p * n + m, -x * c) for m, x in a_cols[r] for p, c in ad.get((k, s), ())),
-                    ((p * n + m, x * c) for m, x in a_cols[s] for p, c in ad.get((k, r), ())),
-                )))
-    return [_unflatten(vv, n) for vv in solve_rows(rows, n * n)[1].vectors()]
+    n, a, zero = v.dim, v.alpha, Matrix.zeros(v.dim, v.dim)
+    return _solutions(n, chain(
+        _twist_skew_equations(v, eps, zero), _bracket_equations(v.algebra, a, a, Matrix.identity(n), zero)
+    ))[1]
 
 
 def _quadratic_blocks(rng: random.Random, dim: int, involutive_only: bool) -> QuadraticHomAlgebra:

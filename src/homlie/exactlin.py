@@ -13,10 +13,10 @@ anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 
@@ -242,19 +242,22 @@ class Matrix:
     def charpoly(self) -> tuple[Fraction, ...]:
         """Monic characteristic polynomial, descending coefficients.
 
-        Faddeev-LeVerrier recursion, exact over the rationals, on sparse
-        columns: M_1 = I, c_k = -tr(A M_k) / k and M_(k+1) = A M_k + c_k I.
+        Faddeev-LeVerrier recursion on sparse integer columns: for d the lcm
+        of the denominators, B = dA has M_1 = I, c_k = -tr(B M_k) / k (exact,
+        as B has an integer characteristic polynomial) and M_(k+1) = B M_k +
+        c_k I, and A has the coefficients c_k / d^k.
         """
         self._square()
         n = self.rows
-        cols = sparse_rows(zip(*self.data))
+        d = lcm(*[x.denominator for r in self.data for x in r])
+        cols = [{i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in sparse_rows(zip(*self.data))]
         coeffs = [_ONE]
-        m = [{j: _ONE} for j in range(n)]
+        m = [{j: 1} for j in range(n)]
         for k in range(1, n + 1):
-            am = [combine_rows((x, cols[i]) for i, x in col.items()) for col in m]
-            ck = -sum((col.get(j, _ZERO) for j, col in enumerate(am)), _ZERO) / k
-            coeffs.append(ck)
-            m = [sparse_row(chain(col.items(), [(j, ck)])) for j, col in enumerate(am)]
+            bm = [combine_rows((x, cols[i]) for i, x in col.items()) for col in m]
+            ck = -sum(col.get(j, 0) for j, col in enumerate(bm)) // k
+            coeffs.append(Fraction(ck, d**k))
+            m = [sparse_row(chain(col.items(), [(j, ck)])) for j, col in enumerate(bm)]
         return tuple(coeffs)
 
     def _same_shape(self, other: "Matrix"):
@@ -284,7 +287,7 @@ def sparse_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
     """Sum (column, value) terms into a sparse row with no zero entries."""
     row: dict[int, Fraction] = {}
     for c, x in terms:
-        row[c] = row.get(c, _ZERO) + x
+        row[c] = row.get(c, 0) + x
     return {c: x for c, x in row.items() if x}
 
 
@@ -297,7 +300,7 @@ def combine_rows(terms: Iterable[tuple[Fraction, dict[int, Fraction]]]) -> dict[
     out: dict[int, Fraction] = {}
     for c, row in terms:
         for j, x in row.items():
-            out[j] = out.get(j, _ZERO) + c * x
+            out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
 
 

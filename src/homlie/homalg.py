@@ -12,12 +12,11 @@ checks report the first violating index tuple in lexicographic order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotHomAssociative, NotMultiplicative
 from .exactlin import (
@@ -302,9 +301,9 @@ class AlphaClass:
 class HomLieReport:
     skew: bool
     hom_jacobi: bool
-    skew_witness: Optional[tuple] = None
-    jacobi_witness: Optional[tuple] = None
-    jacobi_residual: Optional[Vector] = None
+    skew_witness: tuple | None = None
+    jacobi_witness: tuple | None = None
+    jacobi_residual: Vector | None = None
 
     @property
     def ok(self) -> bool:
@@ -317,10 +316,10 @@ class QuadraticReport:
     nondegenerate: bool
     invariant: bool
     alpha_symmetric: bool
-    symmetric_witness: Optional[tuple] = None
-    degenerate_witness: Optional[Vector] = None
-    invariant_witness: Optional[tuple] = None
-    alpha_witness: Optional[tuple] = None
+    symmetric_witness: tuple | None = None
+    degenerate_witness: Vector | None = None
+    invariant_witness: tuple | None = None
+    alpha_witness: tuple | None = None
 
     @property
     def ok(self) -> bool:
@@ -386,7 +385,7 @@ def check_hom_lie(g: HomAlgebra) -> HomLieReport:
 
 def bracket_mismatch(
     g: HomAlgebra, h: HomAlgebra, lhs: Matrix, terms: Sequence[tuple[Matrix, Matrix]]
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """First basis pair i < j where lhs([x_i,x_j]) != sum of [P x_i, Q x_j] over terms.
 
     The brackets [x_i, x_j] are taken in g and [P x_i, Q x_j] in h; lhs and
@@ -409,7 +408,7 @@ def bracket_mismatch(
     return None
 
 
-def multiplicativity_witness(g: HomAlgebra) -> Optional[tuple[int, int]]:
+def multiplicativity_witness(g: HomAlgebra) -> tuple[int, int] | None:
     """First basis pair where alpha([x_i,x_j]) != [alpha(x_i),alpha(x_j)]."""
     return bracket_mismatch(g, g, g.alpha, ((g.alpha, g.alpha),))
 
@@ -454,7 +453,7 @@ def classify_alpha(g: HomAlgebra) -> AlphaClass:
     return AlphaClass(tag, mult, regular, involutive, nilpotent)
 
 
-def _first_row_mismatch(a: Sequence[SparseRow], b: Sequence[SparseRow]) -> Optional[tuple[int, int]]:
+def _first_row_mismatch(a: Sequence[SparseRow], b: Sequence[SparseRow]) -> tuple[int, int] | None:
     """First entry (y, z) in row-major order where two lists of sparse rows differ."""
     for y, (ra, rb) in enumerate(zip(a, b)):
         if ra != rb:
@@ -581,7 +580,7 @@ class QuadraticHomAlgebra:
         return f"QuadraticHomAlgebra(dim={self.dim})"
 
 
-def representation_witness(g: HomAlgebra, r: Representation) -> Optional[tuple[int, int]]:
+def representation_witness(g: HomAlgebra, r: Representation) -> tuple[int, int] | None:
     """First basis pair i < j where the module axiom fails, or None.
 
     The axiom is rho([x,y]) beta = rho(a(x)) rho(y) - rho(a(y)) rho(x); both
@@ -619,7 +618,7 @@ def check_representation(g: HomAlgebra, r: Representation) -> bool:
     return representation_witness(g, r) is None
 
 
-def hom_associativity_witness(a: AssocAlgebra) -> Optional[tuple[int, int, int]]:
+def hom_associativity_witness(a: AssocAlgebra) -> tuple[int, int, int] | None:
     """First basis triple where mu(a(x), mu(y,z)) != mu(mu(x,y), a(z)), or None."""
     n = a.dim
     alpha = _cols(a.alpha)
@@ -638,7 +637,7 @@ def hom_associativity_witness(a: AssocAlgebra) -> Optional[tuple[int, int, int]]
     return None
 
 
-def product_mismatch(a: AssocAlgebra, f: Matrix) -> Optional[tuple[int, int]]:
+def product_mismatch(a: AssocAlgebra, f: Matrix) -> tuple[int, int] | None:
     """First basis pair (i, j) in row-major order where f(x_i x_j) != f(x_i) f(x_j), or None."""
     if f.shape != (a.dim, a.dim):
         raise DimensionMismatch("f must be dim x dim")

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .build import ExtensionData1D, InvolutiveExtensionData
 from .errors import ParseError
@@ -64,10 +63,10 @@ def _parse_vector(raw, n: int, what: str) -> tuple[Fraction, ...]:
 class ParsedFile:
     """The decoded content of an algebra file."""
 
-    algebra: Optional[HomAlgebra]
-    assoc: Optional[AssocAlgebra]
-    form: Optional[BilinearForm]
-    basis_names: Optional[list[str]]
+    algebra: HomAlgebra | None
+    assoc: AssocAlgebra | None
+    form: BilinearForm | None
+    basis_names: list[str] | None
 
     @property
     def kind(self) -> str:
@@ -82,8 +81,8 @@ class ParsedFile:
 
 def algebra_to_dict(
     g: HomAlgebra,
-    form: Optional[BilinearForm] = None,
-    basis_names: Optional[list[str]] = None,
+    form: BilinearForm | None = None,
+    basis_names: list[str] | None = None,
 ) -> dict:
     entries = [
         {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in g.bracket.items()
@@ -96,7 +95,7 @@ def algebra_to_dict(
     return out
 
 
-def assoc_to_dict(a: AssocAlgebra, basis_names: Optional[list[str]] = None) -> dict:
+def assoc_to_dict(a: AssocAlgebra, basis_names: list[str] | None = None) -> dict:
     entries = [
         {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in a.product.items()
     ]

@@ -22,6 +22,12 @@ operators reached the closures as dense matrices: every candidate product
 formed before the first is tested, and every closure taken over dense ad
 matrices read off ``dense_axioms.dense_basis_bracket``.
 
+The index-loop solvers are how ``homlie.catalog`` found the admissible
+delta of a one-dimensional double extension and the action space of an
+involutive one before the identities were stated once for its equation
+builder: each equation is written out by hand as a row-major sparse row in
+the entries of the unknown map, and solved with ``solve_rows``.
+
 Every eigenspace and Fitting part here comes from the dense oracles of
 ``dense_elimination`` (``dense_charpoly`` and ``dense_kernel``), so these
 oracles do not follow the library's characteristic polynomial or
@@ -30,6 +36,7 @@ eigenspaces.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from homlie.analyze import (
     SIMPLICITY_STREAM_SEED,
@@ -57,6 +64,7 @@ from homlie.exactlin import (
     is_zero_vec,
     kernel,
     solve_rows,
+    sparse_row,
     sparse_rows,
     spin_up,
     sub_vec,
@@ -421,3 +429,89 @@ def dense_simplicity_verdict(g: HomAlgebra, budget: int = 24) -> SimplicityVerdi
                 continue
             return SimplicityVerdict("Simple")
     return SimplicityVerdict("Unknown")
+
+
+def loop_twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[dict[int, Fraction]]:
+    """Sparse linear rows in the entries of D (row major): first
+    (a D a - lam D)[i][j], then (D^T gram + gram D)[i][j], for all i, j, with
+    a the twist of q."""
+    n = q.dim
+    a, gram = q.alpha, q.gram
+    a_rows = [[(r, x) for r, x in enumerate(a.row(i)) if x] for i in range(n)]
+    a_cols = [[(s, x) for s, x in enumerate(a.col(j)) if x] for j in range(n)]
+    rows = [
+        sparse_row(chain(
+            ((r * n + s, x * y) for r, x in a_rows[i] for s, y in a_cols[j]),
+            [(i * n + j, -lam)],
+        ))
+        for i in range(n)
+        for j in range(n)
+    ]
+    rows += [
+        sparse_row(chain(
+            ((r * n + i, gram[r, j]) for r in range(n)),
+            ((r * n + j, gram[i, r]) for r in range(n)),
+        ))
+        for i in range(n)
+        for j in range(n)
+    ]
+    return rows
+
+
+def _unflatten(v, n: int) -> Matrix:
+    """The n x n matrix whose entries, row major, are v."""
+    return Matrix([v[i * n : (i + 1) * n] for i in range(n)])
+
+
+def loop_extension_delta_space(q: QuadraticHomAlgebra, lam: Fraction, x0):
+    """``catalog.extension_delta_space`` with every equation written out as an index loop."""
+    n = q.dim
+    g = q.algebra
+    a = q.alpha
+    adx0 = g.ad_vec(x0)
+    # (a delta a)[i][j] - lam delta[i][j] = ad(x0)[i][j]; delta skew for the form
+    rows = loop_twist_skew_rows(q, lam)
+    for row, rhs in zip(rows, (x for r in adx0.data for x in r)):
+        if rhs:
+            row[n * n] = rhs
+    # lam delta([x_r,x_s]) + [x0,[x_r,x_s]] = [delta x_r, a x_s] + [a x_r, delta x_s];
+    # the x_k coefficient of [x_p, a x_s] is sum over t of a[t][s] [x_p, x_t]_k
+    a_cols = [[(t, x) for t, x in enumerate(a.col(j)) if x] for j in range(n)]
+    ad = g.ad_entries()  # (k, t) -> (p, [x_p, x_t]_k)
+    for r in range(n):
+        for s in range(r + 1, n):
+            c_rs = g.basis_bracket(r, s)
+            adc = adx0.apply(c_rs)
+            for k in range(n):
+                rows.append(sparse_row(chain(
+                    ((k * n + m, lam * c) for m, c in enumerate(c_rs) if c),
+                    ((p * n + r, -x * c) for t, x in a_cols[s] for p, c in ad.get((k, t), ())),
+                    ((p * n + s, x * c) for t, x in a_cols[r] for p, c in ad.get((k, t), ())),
+                    [(n * n, -adc[k])],
+                )))
+    particular, homogeneous = solve_rows(rows, n * n)
+    if particular is None:
+        return None, []
+    return _unflatten(particular, n), [_unflatten(v, n) for v in homogeneous.vectors()]
+
+
+def loop_involutive_action_space(v: QuadraticHomAlgebra, eps: Fraction) -> list[Matrix]:
+    """``catalog.involutive_action_space`` with every equation written out as an index loop."""
+    n = v.dim
+    g = v.algebra
+    a = v.alpha
+    rows = loop_twist_skew_rows(v, eps)
+    a_rows = [[(p, x) for p, x in enumerate(a.row(k)) if x] for k in range(n)]
+    a_cols = [[(m, x) for m, x in enumerate(a.col(j)) if x] for j in range(n)]
+    ad = g.ad_entries()  # (k, s) -> (p, [x_p, x_s]_k)
+    for r in range(n):
+        for s in range(r + 1, n):
+            c_rs = [(m, c) for m, c in enumerate(g.basis_bracket(r, s)) if c]
+            for k in range(n):
+                # a[k,p] c_rs[m] - a[m,r] [x_p, x_s]_k - a[m,s] [x_r, x_p]_k at D[p][m]
+                rows.append(sparse_row(chain(
+                    ((p * n + m, x * c) for p, x in a_rows[k] for m, c in c_rs),
+                    ((p * n + m, -x * c) for m, x in a_cols[r] for p, c in ad.get((k, s), ())),
+                    ((p * n + m, x * c) for m, x in a_cols[s] for p, c in ad.get((k, r), ())),
+                )))
+    return [_unflatten(vv, n) for vv in solve_rows(rows, n * n)[1].vectors()]

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from homlie import catalog
 from homlie.analyze import center
 from homlie.errors import BadParams, UnknownFixture
-from homlie.exactlin import Matrix, Subspace
+from homlie.exactlin import Matrix, Subspace, unit_vec
 from homlie.homalg import (
     QuadraticHomAlgebra,
     check_hom_associative,
@@ -16,7 +17,14 @@ from homlie.homalg import (
     is_lie_algebra,
 )
 
-from dense_structures import dense_sl_n_bracket, dense_sl_n_killing, dense_sl_n_neg_transpose
+from dense_axioms import dense_bracket_vec
+from dense_structures import (
+    dense_sl_n_bracket,
+    dense_sl_n_killing,
+    dense_sl_n_neg_transpose,
+    loop_extension_delta_space,
+    loop_involutive_action_space,
+)
 
 F = Fraction
 
@@ -215,3 +223,95 @@ def test_random_extension_data_involutive_needs_lambda_one_or_minus_one(lam):
     rng = random.Random(0)
     with pytest.raises(BadParams):
         catalog.random_extension_data(rng, catalog.sl_n_transpose(2), F(lam), involutive=True)
+
+
+def _spaces_match_the_index_loops(q):
+    n = q.dim
+    for lam in (F(1), F(-1), F(2)):
+        for x0 in ((F(0),) * n, tuple(F((3 * i) % 5 - 2, 1 + i % 2) for i in range(n))):
+            assert catalog.extension_delta_space(q, lam, x0) == loop_extension_delta_space(q, lam, x0)
+    for eps in (F(1), F(-1)):
+        assert catalog.involutive_action_space(q, eps) == loop_involutive_action_space(q, eps)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+@pytest.mark.parametrize("kind", ["quadratic", "involutive_quadratic"])
+def test_extension_spaces_match_the_index_loop_oracle(kind, dim):
+    for seed in range(12):
+        _spaces_match_the_index_loops(catalog.random_instance(seed, dim, kind))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extension_spaces_match_the_index_loop_oracle_on_sl_n_transpose(n):
+    _spaces_match_the_index_loops(catalog.sl_n_transpose(n))
+
+
+def _identity_values(q, lam, left, p, qmap, d):
+    """Left sides of both identity sets at D = d, from dense products and ``dense_bracket_vec``:
+    (a d a - lam d)[i][j], (d^T gram + gram d)[i][j], then for r < s the coordinates
+    of left d [x_r, x_s] - [d p x_r, qmap x_s] - [qmap x_r, d p x_s]."""
+    g, a, n = q.algebra, q.alpha, q.dim
+    values = [x for row in (a @ d @ a - d.scale(lam)).data for x in row]
+    values += [x for row in (d.transpose() @ q.gram + q.gram @ d).data for x in row]
+    dp = d @ p
+    for r in range(n):
+        for s in range(r + 1, n):
+            xr, xs = unit_vec(n, r), unit_vec(n, s)
+            lhs = (left @ d).apply(dense_bracket_vec(g, xr, xs))
+            first = dense_bracket_vec(g, dp.apply(xr), qmap.apply(xs))
+            second = dense_bracket_vec(g, qmap.apply(xr), dp.apply(xs))
+            values += [x - y - z for x, y, z in zip(lhs, first, second)]
+    return values
+
+
+def _right_sides(q, twist_rhs, bracket_rhs):
+    """Right sides of the same equations: twist_rhs[i][j], zeros, then bracket_rhs [x_r, x_s]."""
+    g, n = q.algebra, q.dim
+    values = [x for row in twist_rhs.data for x in row] + [F(0)] * (n * n)
+    for r in range(n):
+        for s in range(r + 1, n):
+            values += bracket_rhs.apply(dense_bracket_vec(g, unit_vec(n, r), unit_vec(n, s)))
+    return values
+
+
+def _sympy_null_rref(q, lam, maps):
+    """The RREF of sympy's nullspace of the system whose columns are the identities at each matrix unit."""
+    n = q.dim
+    units = [Matrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]) for i in range(n) for j in range(n)]
+    columns = [_identity_values(q, lam, *maps, e) for e in units]
+    system = sympy.Matrix(len(columns[0]), n * n, lambda k, c: sympy.Rational(columns[c][k].numerator, columns[c][k].denominator))
+    null = system.nullspace()
+    if not null:
+        return ()
+    ref, pivots = sympy.Matrix.hstack(*null).T.rref()
+    return tuple(tuple(F(int(x.p), int(x.q)) for x in ref.row(k)) for k in range(len(pivots)))
+
+
+def _flat(matrices):
+    return tuple(tuple(x for row in m.data for x in row) for m in matrices)
+
+
+@pytest.mark.parametrize(
+    "kind, dim, seed",
+    [(kind, dim, seed) for kind in ("quadratic", "involutive_quadratic") for dim in (3, 4) for seed in range(12)]
+    + [("sl_n_transpose", 2, None)],
+)
+def test_extension_spaces_match_sympy_on_the_dense_identities(kind, dim, seed):
+    # delta solves the identities for (lam, L, P, Q) = (lam, lam I, I, a) with
+    # right sides ad x0 and -ad x0; the involutive action for (eps, a, a, I), homogeneous
+    q = catalog.sl_n_transpose(dim) if seed is None else catalog.random_instance(seed, dim, kind)
+    n = q.dim
+    ident = Matrix.identity(n)
+    x0 = tuple(F((3 * i) % 5 - 2, 1 + i % 2) for i in range(n))
+    adx0 = q.algebra.ad_vec(x0)
+    for lam in (F(1), F(-1), F(2)):
+        maps = (ident.scale(lam), ident, q.alpha)
+        expected = _sympy_null_rref(q, lam, maps)
+        particular, homogeneous = catalog.extension_delta_space(q, lam, x0)
+        if particular is not None:
+            assert _flat(homogeneous) == expected
+            assert _identity_values(q, lam, *maps, particular) == _right_sides(q, adx0, -adx0)
+        assert _flat(catalog.extension_delta_space(q, lam, [0] * n)[1]) == expected
+    for eps in (F(1), F(-1)):
+        maps = (q.alpha, q.alpha, ident)
+        assert _flat(catalog.involutive_action_space(q, eps)) == _sympy_null_rref(q, eps, maps)

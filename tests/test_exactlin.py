@@ -22,7 +22,7 @@ from homlie.exactlin import (
     sparse_rows,
     spin_up,
 )
-from homlie.homalg import is_nilpotent_matrix
+from homlie.homalg import HomAlgebra, is_nilpotent_matrix
 
 from dense_elimination import (
     dense_charpoly,
@@ -932,3 +932,42 @@ def test_solve_rows_and_contains_do_no_fraction_arithmetic(monkeypatch):
 def test_solve_rows_and_eigenspace_reject_out_of_range_columns(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_charpoly_does_no_fraction_arithmetic(monkeypatch):
+    a = Matrix([
+        [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)],
+        [3, Fraction(1, 6), Fraction(-1, 4), 0],
+        [0, 2, Fraction(-7, 3), Fraction(1, 5)],
+        [Fraction(1, 3), 0, 1, -4],
+    ])
+    expected = dense_charpoly(a)
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__neg__"):
+
+        def counted(self, *other, op=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return op(self, *other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    ours = a.charpoly()
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert ours == expected and all(type(c) is Fraction for c in ours)
+
+
+def test_results_on_integer_input_are_fractions():
+    # the sparse sums start from the int 0, so integer input must still come out as Fractions
+    g = HomAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [2, 0, 0]}, Matrix.identity(3))
+    a = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+    pairs = rational_eigenpairs(a)
+    values = [
+        *g.bracket_vec([1, 2, 0], [0, 1, 3]),
+        *a.charpoly(),
+        *(lam for lam, _ in pairs),
+        *(x for _, e in pairs for row in e.basis.data for x in row),
+        *(x for row in Subspace.from_vectors(3, [[2, 4, 0], [0, 3, 3]]).basis.data for x in row),
+    ]
+    assert [lam for lam, _ in pairs] == [-1, 2]
+    assert all(type(x) is Fraction for x in values)

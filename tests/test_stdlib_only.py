@@ -7,6 +7,8 @@ level, so none runs again on each call.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,15 @@ def test_imports_only_at_module_level(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = sorted(set(_function_imports(tree)))
     assert lines == [], f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # homlie spells optional types X | None and takes Iterable and Sequence from
+    # collections.abc, so importing the CLI costs no typing import; -S keeps
+    # site-packages hooks from loading it first
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import homlie.cli, sys; print('typing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
