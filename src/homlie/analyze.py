@@ -8,13 +8,11 @@ simplicity test, and recognition of one-dimensional double extensions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
 
 from .build import (
-    ExtensionData1D,
     block_algebra,
     change_basis_quadratic,
     double_extension_parts,
@@ -47,8 +45,10 @@ from .exactlin import (
 )
 from .homalg import (
     BilinearForm,
+    ExtensionData1D,
     HomAlgebra,
     QuadraticHomAlgebra,
+    Record,
     center,
     is_multiplicative,
     require_multiplicative,
@@ -125,8 +125,7 @@ def orthogonal_subspace(q: QuadraticHomAlgebra, w: Subspace) -> Subspace:
 # Fitting decomposition and orthogonal decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FittingSplit:
+class FittingSplit(Record):
     """Twist-nilpotent and twist-invertible parts of a quadratic algebra."""
 
     i_part: Subspace
@@ -284,8 +283,7 @@ def radical_involutive(g: HomAlgebra) -> Subspace:
 # simplicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(Record):
     """Three-valued simplicity verdict.
 
     ``NotSimple`` carries a verified proper nonzero ideal when one exists
@@ -377,8 +375,7 @@ def _certificate_candidates(gens: list[Matrix], rng: random.Random):
 # double extension recognition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleExtensionWitness:
+class DoubleExtensionWitness(Record):
     """Recovered double-extension data.
 
     Rebuilding from (base, data) and expressing the input in the basis

@@ -9,7 +9,6 @@ reports the first violating index tuple on failure.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,16 +32,16 @@ from .errors import (
 from .exactlin import (
     Matrix,
     first_mismatch,
-    frac,
     is_zero_vec,
     unit_vec,
-    vec,
     zero_vec,
 )
 from .homalg import (
     AssocAlgebra,
     BilinearForm,
+    ExtensionData1D,
     HomAlgebra,
+    InvolutiveExtensionData,
     QuadraticHomAlgebra,
     Representation,
     annihilator,
@@ -474,21 +473,6 @@ def tensor_current(
 # double extensions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionData1D:
-    """Data (delta, x0, lam, lam0) for a one-dimensional double extension."""
-
-    delta: Matrix
-    x0: tuple[Fraction, ...]
-    lam: Fraction
-    lam0: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", vec(self.x0))
-        object.__setattr__(self, "lam", frac(self.lam))
-        object.__setattr__(self, "lam0", frac(self.lam0))
-
-
 def double_extension_conditions(
     v: QuadraticHomAlgebra, d: ExtensionData1D
 ) -> list[tuple[str, tuple]]:
@@ -600,17 +584,6 @@ def double_extension_parts(
     if double_extension_1d(base, data) != t:
         raise ReconstructionFailed("rebuilt extension does not match the input")
     return base, data
-
-
-@dataclass(frozen=True)
-class InvolutiveExtensionData:
-    """Module action and form data (phi, gamma) for the involutive extension."""
-
-    phi: tuple[Matrix, ...]
-    gamma: BilinearForm
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(self.phi))
 
 
 def _check_involutive_extension(v, a, d):

@@ -17,14 +17,13 @@ from .build import (
     direct_sum,
     double_extension_1d,
     double_extension_conditions,
-    ExtensionData1D,
     orthogonal_sum,
     quadratic_yau_twist,
     yau_twist,
 )
 from .errors import BadParams, UnknownFixture
 from .exactlin import Matrix, combine_rows, frac, solve_rows, sparse_row, sparse_rows, unit_vec, zero_vec
-from .homalg import AssocAlgebra, BilinearForm, HomAlgebra, QuadraticHomAlgebra
+from .homalg import AssocAlgebra, BilinearForm, ExtensionData1D, HomAlgebra, QuadraticHomAlgebra
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)

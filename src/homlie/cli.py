@@ -16,9 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import analyze as an
-from . import build as bd
-from . import catalog as cat
+import homlie
+
 from . import serialize as ser
 from .errors import HomLieError, PreconditionFailed
 from .exactlin import Matrix
@@ -160,6 +159,7 @@ def _subspace_lines(rep: Reporter, label, sub, names):
 
 
 def _cmd_analyze(args) -> int:
+    an = homlie.analyze
     parsed = ser.load_path(args.file)
     g = _need_algebra(parsed)
     names = parsed.names()
@@ -230,6 +230,7 @@ def _write_algebra(rep, path, alg, form=None, basis_names=None):
 
 
 def _cmd_construct(args) -> int:
+    bd = homlie.build
     rep = Reporter("construct", args.json)
     op = args.operation
     parsed = ser.load_path(args.file)
@@ -283,6 +284,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    cat = homlie.catalog
     rep = Reporter("catalog", args.json)
     if args.operation == "list":
         for name, sig in cat.fixture_names():

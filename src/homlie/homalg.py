@@ -13,7 +13,6 @@ checks report the first violating index tuple in lexicographic order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
@@ -236,8 +235,65 @@ class AssocAlgebra:
         return f"AssocAlgebra(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class Record:
+    """Immutable record compared, hashed and printed through its fields.
+
+    A subclass declares its fields as class annotations, in order, each with
+    an optional default as a class attribute, as a frozen dataclass would:
+    the constructor takes them by position or keyword, then runs
+    ``__post_init__``, which may coerce a field with ``object.__setattr__``.
+    Records are equal when they are of one class with equal fields, hash as
+    the tuple of their fields, print as ``Name(field=value, ...)`` and raise
+    ``AttributeError`` on assignment.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        own = tuple(cls.__annotations__)
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        unexpected = kwargs.keys() - fields[len(args):]
+        if len(args) > len(fields) or unexpected:
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__}() missing fields {missing}")
+        for f in fields:
+            object.__setattr__(self, f, values[f])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BilinearForm(Record):
     """Bilinear form B(x, y) = x^T gram y."""
 
     dim: int
@@ -255,8 +311,7 @@ class BilinearForm:
         return sum((a * b for a, b in zip(x, gx)), frac(0))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Module (V, rho, beta) over a Hom-Lie algebra.
 
     ``rho[i]`` is the action matrix of the i-th basis vector on V.
@@ -282,8 +337,7 @@ class Representation:
         return out
 
 
-@dataclass(frozen=True)
-class AlphaClass:
+class AlphaClass(Record):
     """Classification of a twist map.
 
     ``involutive`` means alpha is an involutive automorphism of the bracket
@@ -297,8 +351,7 @@ class AlphaClass:
     nilpotent: bool
 
 
-@dataclass(frozen=True)
-class HomLieReport:
+class HomLieReport(Record):
     skew: bool
     hom_jacobi: bool
     skew_witness: tuple | None = None
@@ -310,8 +363,7 @@ class HomLieReport:
         return self.skew and self.hom_jacobi
 
 
-@dataclass(frozen=True)
-class QuadraticReport:
+class QuadraticReport(Record):
     symmetric: bool
     nondegenerate: bool
     invariant: bool
@@ -329,6 +381,30 @@ class QuadraticReport:
             and self.invariant
             and self.alpha_symmetric
         )
+
+
+class ExtensionData1D(Record):
+    """Data (delta, x0, lam, lam0) for a one-dimensional double extension."""
+
+    delta: Matrix
+    x0: tuple[Fraction, ...]
+    lam: Fraction
+    lam0: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", vec(self.x0))
+        object.__setattr__(self, "lam", frac(self.lam))
+        object.__setattr__(self, "lam0", frac(self.lam0))
+
+
+class InvolutiveExtensionData(Record):
+    """Module action and form data (phi, gamma) for the involutive extension."""
+
+    phi: tuple[Matrix, ...]
+    gamma: BilinearForm
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", tuple(self.phi))
 
 
 def _cols(m: Matrix) -> list[SparseRow]:

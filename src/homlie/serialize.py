@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .build import ExtensionData1D, InvolutiveExtensionData
 from .errors import ParseError
 from .exactlin import Matrix
-from .homalg import AssocAlgebra, BilinearForm, HomAlgebra
+from .homalg import (
+    AssocAlgebra,
+    BilinearForm,
+    ExtensionData1D,
+    HomAlgebra,
+    InvolutiveExtensionData,
+    Record,
+)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9][0-9]*)?$")
 
@@ -59,8 +64,7 @@ def _parse_vector(raw, n: int, what: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in raw)
 
 
-@dataclass(frozen=True)
-class ParsedFile:
+class ParsedFile(Record):
     """The decoded content of an algebra file."""
 
     algebra: HomAlgebra | None

@@ -3,7 +3,9 @@
 It imports nothing outside the standard library (``dependencies = []``),
 no module imports a private ``_name`` from another homlie module (a helper
 that modules share is public and documented), and every import sits at module
-level, so none runs again on each call.
+level, so none runs again on each call.  The one exception is the package's
+``__getattr__`` in ``homlie/__init__.py``, which loads a submodule on first
+access, so that each command loads only the modules it runs.
 """
 
 import ast
@@ -14,7 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from homlie import catalog, serialize
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "homlie"
+
+# (file, function) of the one function allowed to import: the package's lazy loader
+LOADER = ("__init__.py", "__getattr__")
 
 
 def _imported(tree):
@@ -53,20 +60,102 @@ def test_imports_no_private_homlie_names(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 
-def _function_imports(tree):
-    """Line numbers of the imports inside a function body."""
+def _is_import_call(node):
+    """A call of ``__import__`` or ``importlib.import_module``, however it is reached."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    return name in ("__import__", "import_module")
+
+
+def _function_imports(tree, filename):
+    """Line numbers of the imports inside a function body, other than the loader's.
+
+    An import is an import statement or a call that imports a module by name.
+    """
     for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and (filename, fn.name) != LOADER:
             for node in ast.walk(fn):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_import_call(node):
                     yield node.lineno
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_at_module_level(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = sorted(set(_function_imports(tree)))
+    lines = sorted(set(_function_imports(tree, path.name)))
     assert lines == [], f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_function_import_rule_sees_loader_calls():
+    code = """
+import importlib
+from importlib import import_module
+
+def a():
+    import json
+
+def b():
+    return importlib.import_module("json")
+
+def c():
+    return import_module("json")
+
+def __getattr__(name):
+    return __import__(name)
+"""
+    tree = ast.parse(code)
+    assert sorted(_function_imports(tree, "cli.py")) == [6, 9, 12, 15]
+    assert sorted(_function_imports(tree, "__init__.py")) == [6, 9, 12]
+    loaders = [
+        fn.name for fn in ast.parse((SRC / LOADER[0]).read_text(encoding="utf-8")).body
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    assert loaders == [LOADER[1]]
+
+
+def _modules_after(code, cwd=None):
+    """Every module loaded once ``code`` has run in a fresh ``python -S``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    report = "\nimport sys; print(*sorted(sys.modules), file=sys.stderr)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code + report],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    return set(out.stderr.splitlines()[-1].split())
+
+
+def _command_modules(tmp_path, args):
+    """Modules loaded after one ``cli.main`` call that exits 0, on an sl2 file."""
+    serialize.save_path(tmp_path / "sl2.json", serialize.algebra_to_dict(catalog.sl2()))
+    code = f"from homlie import cli\nassert cli.main({args!r}) == 0"
+    return _modules_after(code, cwd=tmp_path)
+
+
+LAZY = {"homlie.analyze", "homlie.build", "homlie.catalog"}
+
+
+def test_cli_import_loads_no_dataclasses_and_no_commands():
+    loaded = _modules_after("import homlie.cli")
+    assert loaded & {"dataclasses", "inspect", *LAZY} == set()
+    assert {"homlie.errors", "homlie.exactlin", "homlie.homalg", "homlie.serialize"} <= loaded
+
+
+def test_check_loads_no_command_modules(tmp_path):
+    loaded = _command_modules(tmp_path, ["check", "sl2.json", "--json"])
+    assert loaded & {"dataclasses", "inspect", *LAZY} == set()
+
+
+def test_analyze_loads_no_catalog(tmp_path):
+    loaded = _command_modules(tmp_path, ["analyze", "center", "sl2.json"])
+    assert "homlie.analyze" in loaded and "homlie.catalog" not in loaded
+
+
+def test_construct_loads_no_analysis_and_no_catalog(tmp_path):
+    loaded = _command_modules(tmp_path, ["construct", "twist", "sl2.json", "--out", "out.json"])
+    assert "homlie.build" in loaded
+    assert loaded & {"homlie.analyze", "homlie.catalog"} == set()
 
 
 def test_cli_import_leaves_typing_unloaded():
