@@ -145,8 +145,9 @@ def fitting_decomposition(q: QuadraticHomAlgebra) -> FittingSplit:
     for name, part in (("kernel", ker_part), ("image", im_part)):
         if not is_ideal(g, part):
             raise ReconstructionFailed(f"fitting {name} part is not an ideal")
+    im_rows = im_part.vectors()
     for u in ker_part.vectors():
-        for v in im_part.vectors():
+        for v in im_rows:
             if not is_zero_vec(g.bracket_vec(u, v)):
                 raise ReconstructionFailed("fitting parts do not commute")
             if q.form.value(u, v) != 0:
@@ -199,11 +200,12 @@ def _candidate_ideals(q: QuadraticHomAlgebra):
 
 def _decompose(q: QuadraticHomAlgebra, embedding: Subspace):
     for cand in _candidate_ideals(q):
-        sub_gram = cand.basis @ q.gram @ cand.basis.transpose()
+        basis = cand.basis
+        sub_gram = basis @ q.gram @ basis.transpose()
         if sub_gram.rank() != cand.dim:
             continue
         orth = orthogonal_ideal(q, cand)
-        t = change_basis_quadratic(q, Matrix(cand.vectors() + orth.vectors()).transpose())
+        t = change_basis_quadratic(q, Matrix(basis.data + orth.vectors()).transpose())
         left = block_algebra(t, 0, cand.dim)
         right = block_algebra(t, cand.dim, q.dim)
         return _decompose(left, _compose_embedding(embedding, cand)) + _decompose(
@@ -225,8 +227,9 @@ def is_solvable(g: HomAlgebra, i: Subspace | None = None) -> bool:
     """Derived series test: D0 = i (or g), D(k+1) = span[Dk, Dk], reach 0."""
     current = i if i is not None else Subspace.full(g.dim)
     if i is not None:
-        for u in i.vectors():
-            for v in i.vectors():
+        rows = i.vectors()
+        for u in rows:
+            for v in rows:
                 if not i.contains_vector(g.bracket_vec(u, v)):
                     raise NotSubalgebra("seed is not closed under the bracket")
     while True:
@@ -442,10 +445,11 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     z = center(g)
     if z.dim == 0:
         raise CenterTrivial("center is trivial")
-    mapped = Subspace.from_vectors(q.dim, [g.alpha.apply(v) for v in z.vectors()])
+    z_basis = z.basis
+    mapped = Subspace.from_vectors(q.dim, [g.alpha.apply(v) for v in z_basis.data])
     if not z.contains(mapped):
         raise ReconstructionFailed("center is not twist-invariant")
-    alpha_z_cols = [z.coords_of(g.alpha.apply(v)) for v in z.vectors()]
+    alpha_z_cols = [z.coords_of(g.alpha.apply(v)) for v in z_basis.data]
     alpha_z = Matrix.from_cols(alpha_z_cols)
     pairs = rational_eigenpairs(alpha_z)
     if not pairs:
@@ -453,7 +457,7 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
             "twist restricted to the center has no rational eigenvalue"
         )
     for _, eig in pairs:
-        e = _isotropic_in_eigenspace(q, (eig.basis @ z.basis).data)
+        e = _isotropic_in_eigenspace(q, (eig.basis @ z_basis).data)
         if e is not None:
             break
     if e is None:

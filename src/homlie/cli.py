@@ -2,7 +2,8 @@
 
 Subcommands: ``check``, ``construct``, ``analyze``, ``catalog``.  Exit codes:
 0 success / all requested checks passed, 1 a requested check or mathematical
-precondition failed, 2 input or usage error.  ``--json`` switches to a
+precondition failed, 2 input or usage error, a report over its size limit, or
+memory or recursion depth exhausted.  ``--json`` switches to a
 machine-readable report {command, checks, outputs, result}.  Basis indices in
 reports are one-based to match the conventional x1..xn naming; files stay
 zero-based.
@@ -29,6 +30,9 @@ from .homalg import (
     check_quadratic,
     multiplicativity_witness,
 )
+
+# the most basis entries (dimension x n^2) an ``analyze centroid`` report prints
+MAX_CENTROID_ENTRIES = 10**6
 
 
 def _wit(t) -> str:
@@ -149,12 +153,13 @@ def _cmd_check(args) -> int:
 
 
 def _subspace_lines(rep: Reporter, label, sub, names):
+    rows = sub.vectors()
     rep.text(f"{label}: dim {sub.dim}")
-    for row in sub.vectors():
+    for row in rows:
         rep.text(f"  {_lincomb(row, names)}")
     rep.result[label.replace(" ", "_")] = {
         "dim": sub.dim,
-        "basis": [[ser.format_rational(x) for x in row] for row in sub.vectors()],
+        "basis": [[ser.format_rational(x) for x in row] for row in rows],
     }
 
 
@@ -169,6 +174,14 @@ def _cmd_analyze(args) -> int:
         _subspace_lines(rep, "center", an.center(g), names)
     elif op == "centroid":
         sub = an.centroid(g)
+        entries = sub.dim * sub.ambient_dim
+        if entries > MAX_CENTROID_ENTRIES:
+            print(
+                f"error: the centroid has dimension {sub.dim} in Q^{sub.ambient_dim},"
+                f" {entries} basis entries, over the limit {MAX_CENTROID_ENTRIES}",
+                file=sys.stderr,
+            )
+            return 2
         rep.text(f"centroid: dim {sub.dim}")
         rep.result["centroid"] = {
             "dim": sub.dim,
@@ -187,10 +200,9 @@ def _cmd_analyze(args) -> int:
         rep.text(f"simplicity: {verdict.tag}")
         rep.result["simplicity"] = verdict.tag
         if verdict.witness is not None:
-            rep.result["witness"] = [
-                [ser.format_rational(x) for x in row] for row in verdict.witness.vectors()
-            ]
-            for row in verdict.witness.vectors():
+            rows = verdict.witness.vectors()
+            rep.result["witness"] = [[ser.format_rational(x) for x in row] for row in rows]
+            for row in rows:
                 rep.text(f"  {_lincomb(row, names)}")
     elif op in ("fitting", "decompose", "recognize-dext"):
         q = QuadraticHomAlgebra(g, _need(parsed.form, f"{op} needs a form in the file"))
@@ -397,6 +409,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -4,11 +4,12 @@ Matrices over ``fractions.Fraction``, canonical subspaces, and one exact
 elimination kernel that works on sparse rows (``{column: nonzero value}``
 dicts).  The kernel is fraction-free: it clears a row's denominators once,
 then eliminates by integer cross-multiplication and divides out each row's
-content, so Fractions are made only where dense values are read.  Subspaces
-are kept in reduced row-echelon form with no zero rows, so equality of
-subspaces is plain equality of their basis matrices.  Everything here except
-the sparse rows handed to the kernel is immutable; no floating point
-anywhere.
+content, so Fractions are made only where dense values are read.  A subspace
+keeps only the kernel's canonical integer rows (its reduced row-echelon
+basis, each row primitive with a positive pivot entry), so equality of
+subspaces is equality of those rows; the dense basis matrix is built when it
+is read.  Everything here except the sparse rows handed to the kernel is
+immutable; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -130,9 +131,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
@@ -170,10 +168,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
-
-    def trace(self) -> Fraction:
-        self._square()
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def power(self, k: int) -> "Matrix":
         """self^k by repeated squaring; the identity only for k = 0."""
@@ -429,15 +423,16 @@ def solve_rows(
 
 
 class Subspace:
-    """Subspace of Q^n stored as an RREF basis matrix with no zero rows.
+    """Subspace of Q^n stored as the canonical rows of its RREF basis.
 
-    ``pivots[r]`` is the pivot column of basis row r.  The private ``_rows``
-    hold the same basis as the primitive integer rows the elimination kernel
-    made, each a positive multiple of its basis row; the readers reduce
-    against them and never write them.
+    The private ``_rows`` are the primitive integer rows the elimination
+    kernel made, each the positive multiple of its RREF basis row with
+    content 1, and ``pivots[r]`` is the pivot column of row r.  The readers
+    reduce against the rows and never write them; ``basis``, the RREF
+    matrix with no zero rows, is built from them on each read.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         # a basis with no rows may come without a width, as Matrix([]) does
@@ -446,11 +441,8 @@ class Subspace:
         self._set(ambient_dim, *_reduce(sparse_rows(basis.data)))
 
     def _set(self, ambient_dim: int, rows: Sequence[dict[int, int]], pivots: Iterable[int]):
-        pivots = tuple(pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        dense = [_rref_row(r, p, ambient_dim) for r, p in zip(rows, pivots)]
-        object.__setattr__(self, "basis", Matrix(dense) if dense else Matrix.zeros(0, ambient_dim))
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_rows", tuple(rows))
 
     def __setattr__(self, *_):
@@ -477,8 +469,14 @@ class Subspace:
         return cls._canonical(n, [{i: 1} for i in range(n)], range(n))
 
     @property
+    def basis(self) -> Matrix:
+        n = self.ambient_dim
+        dense = [_rref_row(r, p, n) for r, p in zip(self._rows, self.pivots)]
+        return Matrix(dense) if dense else Matrix.zeros(0, n)
+
+    @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -542,11 +540,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

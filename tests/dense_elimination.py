@@ -106,7 +106,7 @@ def dense_charpoly(a: Matrix) -> tuple[Fraction, ...]:
     m = Matrix.identity(n)
     for k in range(1, n + 1):
         m = a @ m
-        ck = -m.trace() / k
+        ck = -sum((m.data[i][i] for i in range(n)), _ZERO) / k
         coeffs.append(ck)
         if k < n:
             m = m + Matrix.identity(n).scale(ck)

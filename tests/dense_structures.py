@@ -437,7 +437,7 @@ def loop_twist_skew_rows(q: QuadraticHomAlgebra, lam: Fraction) -> list[dict[int
     a the twist of q."""
     n = q.dim
     a, gram = q.alpha, q.gram
-    a_rows = [[(r, x) for r, x in enumerate(a.row(i)) if x] for i in range(n)]
+    a_rows = [[(r, x) for r, x in enumerate(a.data[i]) if x] for i in range(n)]
     a_cols = [[(s, x) for s, x in enumerate(a.col(j)) if x] for j in range(n)]
     rows = [
         sparse_row(chain(
@@ -501,7 +501,7 @@ def loop_involutive_action_space(v: QuadraticHomAlgebra, eps: Fraction) -> list[
     g = v.algebra
     a = v.alpha
     rows = loop_twist_skew_rows(v, eps)
-    a_rows = [[(p, x) for p, x in enumerate(a.row(k)) if x] for k in range(n)]
+    a_rows = [[(p, x) for p, x in enumerate(a.data[k]) if x] for k in range(n)]
     a_cols = [[(m, x) for m, x in enumerate(a.col(j)) if x] for j in range(n)]
     ad = g.ad_entries()  # (k, s) -> (p, [x_p, x_s]_k)
     for r in range(n):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from homlie import catalog, serialize as ser
+import homlie
+from homlie import catalog, cli, serialize as ser
 from homlie.errors import ParseError
 from homlie.exactlin import Matrix
 from homlie.homalg import BilinearForm
@@ -568,3 +569,29 @@ def test_cli_radical_requires_involutive(tmp_path):
     r = run_cli(["analyze", "radical", "f.json"], tmp_path)
     assert r.returncode == 1
     assert "check failed" in r.stderr
+
+
+def test_cli_centroid_over_the_entry_limit_is_refused(tmp_path, capsys):
+    # abelian(40) has a 1600-dimensional centroid in Q^1600: 2,560,000 basis entries
+    path = tmp_path / "ab40.json"
+    ser.save_path(path, ser.algebra_to_dict(catalog.abelian(40)))
+    assert cli.main(["analyze", "centroid", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the centroid has dimension 1600 in Q^1600, 2560000 basis entries,"
+        f" over the limit {cli.MAX_CENTROID_ENTRIES}"
+    ]
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_cli_maps_resource_exhaustion_to_exit_2(tmp_path, capsys, monkeypatch, error):
+    def exhausted(g):
+        raise error()
+
+    ser.save_path(tmp_path / "h.json", ser.algebra_to_dict(catalog.heis3()))
+    monkeypatch.setattr(homlie.analyze, "center", exhausted)
+    assert cli.main(["analyze", "center", str(tmp_path / "h.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines() == [f"error: input too large to process ({error.__name__})"]

@@ -213,6 +213,42 @@ def test_intersect_matches_dense_zassenhaus(pair):
         assert (w.basis.data, w.pivots) == dense_intersection(a, b)
 
 
+def _rebuilt(s: Subspace) -> list[Subspace]:
+    """s again, from its basis vectors, as a ``solve_rows`` kernel, by ``spin_up`` and by ``intersect``."""
+    n = s.ambient_dim
+    perp = kernel(s.basis)
+    return [
+        Subspace.from_vectors(n, s.vectors()),
+        solve_rows(sparse_rows(perp.vectors()), n)[1],
+        spin_up([[{i: Fraction(1)} for i in range(n)]], s),
+        s.intersect(Subspace.full(n)),
+        Subspace.full(n).intersect(s),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pairs())
+@example((Subspace.zero(3), Subspace.full(3)))
+@example((Subspace.from_vectors(3, [[Fraction(1, 2), 1, 0]]), Subspace.from_vectors(3, [[-3, -6, 0]])))
+def test_subspace_equality_is_basis_equality_by_every_route(pair):
+    u, v = pair
+    n = u.ambient_dim
+    spaces = [u, v, u.sum(v), u.intersect(v), u.complement(), v.complement(), Subspace.full(n), Subspace.zero(n)]
+    for s in spaces:
+        basis = s.basis
+        assert basis.shape == (s.dim, n) and list(s.pivots) == sorted(set(s.pivots))
+        for r, (row, p) in enumerate(zip(basis.data, s.pivots)):
+            assert row[p] == 1 and not any(row[:p])
+            assert all(other[p] == 0 for k, other in enumerate(basis.data) if k != r)
+        for t in _rebuilt(s):
+            assert t == s and hash(t) == hash(s) and t.basis == basis
+    for s in spaces:
+        for t in spaces:
+            assert (s == t) == (s.basis == t.basis)
+            if s == t:
+                assert hash(s) == hash(t)
+
+
 def test_contains_and_complement():
     u = Subspace.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 0]])
     w = u.complement()

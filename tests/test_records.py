@@ -1,8 +1,12 @@
-"""The eleven immutable records: construction, equality, hash, repr, immutability.
+"""The eleven immutable records and the three algebra types: construction,
+equality, hash, repr, immutability.
 
 These pin the behaviour callers and reports rely on: a record equals only a
 record of the same class with equal fields, hashes as the tuple of its
-fields, prints as ``Name(field=value, ...)`` and refuses assignment.
+fields, prints as ``Name(field=value, ...)`` and refuses assignment.  The
+algebra types are records too, but print as ``Name(dim=n)``, and
+``HomAlgebra`` and ``AssocAlgebra`` hash their structure table as its item
+tuple.
 """
 
 from fractions import Fraction as F
@@ -11,10 +15,12 @@ import pytest
 
 from homlie import (
     AlphaClass,
+    AssocAlgebra,
     BilinearForm,
     DoubleExtensionWitness,
     ExtensionData1D,
     FittingSplit,
+    HomAlgebra,
     InvolutiveExtensionData,
     QuadraticHomAlgebra,
     Representation,
@@ -126,6 +132,39 @@ RECORDS = [
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
+ONE, HALF = (F(1), F(0)), (F(1, 2), F(0))
+# the algebra types in the layout of RECORDS, with the tuple each instance hashes as
+ALGEBRAS = [
+    (
+        HomAlgebra,
+        ("dim", "bracket", "alpha"),
+        (2, {(0, 1): ONE}, I2),
+        (2, {(0, 1): HALF}, I2),
+        "HomAlgebra(dim=2)",
+        (2, (((0, 1), ONE),), I2),
+    ),
+    (
+        AssocAlgebra,
+        ("dim", "product", "alpha"),
+        (2, {(0, 0): ONE, (1, 1): (F(0), F(1))}, I2),
+        (2, {(0, 0): ONE, (1, 1): (F(0), F(1))}, SWAP),
+        "AssocAlgebra(dim=2)",
+        (2, (((0, 0), ONE), ((1, 1), (F(0), F(1)))), I2),
+    ),
+    (
+        QuadraticHomAlgebra,
+        ("algebra", "form"),
+        (catalog.abelian(2), FORM),
+        (catalog.abelian(2), BilinearForm(2, SWAP)),
+        "QuadraticHomAlgebra(dim=2)",
+        (catalog.abelian(2), FORM),
+    ),
+]
+ALGEBRA_IDS = [row[0].__name__ for row in ALGEBRAS]
+# every record type and algebra type, without the hashed tuple
+ALL_TYPES = RECORDS + [row[:5] for row in ALGEBRAS]
+ALL_IDS = IDS + ALGEBRA_IDS
+
 
 @pytest.mark.parametrize("cls, fields, args, changed, text", RECORDS, ids=IDS)
 def test_equality_and_hash_follow_the_fields(cls, fields, args, changed, text):
@@ -137,7 +176,32 @@ def test_equality_and_hash_follow_the_fields(cls, fields, args, changed, text):
     assert r != args
 
 
-@pytest.mark.parametrize("cls, fields, args, changed, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, changed, text, hashed", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_algebra_equality_and_hash_follow_the_fields(cls, fields, args, changed, text, hashed):
+    r = cls(*args)
+    assert r == cls(*args)
+    assert hash(r) == hash(cls(*args)) == hash(hashed)
+    assert r != cls(*changed)
+    assert not r == cls(*changed)
+    assert r != args
+
+
+def test_algebra_types_of_equal_dimension_are_unequal():
+    lie = HomAlgebra(2, {}, I2)
+    assoc = AssocAlgebra(2, {}, I2)
+    assert lie != assoc and assoc != lie and lie != QuadraticHomAlgebra(lie, FORM)
+
+
+def test_assoc_algebra_equality_is_structural():
+    nested = [[ONE, (F(0), F(0))], [(F(0), F(0)), (F(0), F(1))]]
+    a = AssocAlgebra(2, nested, I2)
+    b = AssocAlgebra(2, {(1, 1): (0, 1), (0, 0): (1, 0)}, Matrix.identity(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != AssocAlgebra(2, nested, SWAP)
+    assert len({a, b, AssocAlgebra(2, nested, SWAP)}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, args, changed, text", ALL_TYPES, ids=ALL_IDS)
 def test_another_record_class_with_equal_fields_is_unequal(cls, fields, args, changed, text):
     twin = type(cls.__name__, (cls,), {})(*args)
     r = cls(*args)
@@ -150,12 +214,12 @@ def test_records_of_different_classes_with_equal_field_tuples_are_unequal():
     assert AlphaClass(*fields) != HomLieReport(*fields)
 
 
-@pytest.mark.parametrize("cls, fields, args, changed, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, changed, text", ALL_TYPES, ids=ALL_IDS)
 def test_repr(cls, fields, args, changed, text):
     assert repr(cls(*args)) == text
 
 
-@pytest.mark.parametrize("cls, fields, args, changed, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, changed, text", ALL_TYPES, ids=ALL_IDS)
 def test_assignment_raises_attribute_error(cls, fields, args, changed, text):
     r = cls(*args)
     for name in fields:
@@ -168,7 +232,7 @@ def test_assignment_raises_attribute_error(cls, fields, args, changed, text):
     assert tuple(getattr(r, name) for name in fields) == args
 
 
-@pytest.mark.parametrize("cls, fields, args, changed, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, fields, args, changed, text", ALL_TYPES, ids=ALL_IDS)
 def test_keyword_and_positional_construction(cls, fields, args, changed, text):
     r = cls(*args)
     assert cls(**dict(zip(fields, args))) == r
