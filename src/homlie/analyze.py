@@ -92,7 +92,7 @@ def centroid(g: HomAlgebra) -> Subspace:
 
 def ideal_closure(g: HomAlgebra, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed closed under all [x_i, .] and alpha."""
-    return spin_up([sparse_rows(zip(*g.alpha.data))] + g.ad_columns(), seed)
+    return spin_up([g.alpha.col_dicts()] + g.ad_columns(), seed)
 
 
 def is_ideal(g: HomAlgebra, w: Subspace) -> bool:
@@ -336,7 +336,7 @@ def simplicity_verdict(g: HomAlgebra) -> SimplicityVerdict:
         return SimplicityVerdict("NotSimple", proper)
     # certificate search: an enveloping-algebra element with nullity one
     gens = g.ad_matrices() + [g.alpha]
-    tgens = [sparse_rows(m.data) for m in gens]  # the sparse columns of each transpose
+    tgens = [m.row_dicts for m in gens]  # the sparse columns of each transpose
     for z in _certificate_candidates(gens, rng):
         for lam, eig in rational_eigenpairs(z):
             if eig.dim != 1:
@@ -345,7 +345,7 @@ def simplicity_verdict(g: HomAlgebra) -> SimplicityVerdict:
             if spin.dim < n:
                 return SimplicityVerdict("NotSimple", spin)
             # the rows of z^T are the columns of z
-            cokernel = eigenspace(sparse_rows(zip(*z.data)), lam)
+            cokernel = eigenspace(z.col_dicts(), lam)
             if cokernel.dim != 1:
                 continue
             tspin = spin_up(tgens, cokernel)
@@ -446,10 +446,11 @@ def recognize_double_extension(q: QuadraticHomAlgebra) -> DoubleExtensionWitness
     if z.dim == 0:
         raise CenterTrivial("center is trivial")
     z_basis = z.basis
-    mapped = Subspace.from_vectors(q.dim, [g.alpha.apply(v) for v in z_basis.data])
+    z_rows = z_basis.data
+    mapped = Subspace.from_vectors(q.dim, [g.alpha.apply(v) for v in z_rows])
     if not z.contains(mapped):
         raise ReconstructionFailed("center is not twist-invariant")
-    alpha_z_cols = [z.coords_of(g.alpha.apply(v)) for v in z_basis.data]
+    alpha_z_cols = [z.coords_of(g.alpha.apply(v)) for v in z_rows]
     alpha_z = Matrix.from_cols(alpha_z_cols)
     pairs = rational_eigenpairs(alpha_z)
     if not pairs:

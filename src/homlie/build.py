@@ -60,6 +60,12 @@ from .homalg import (
 
 _ONE = Fraction(1)
 
+# the largest dimension ``catalog emit`` builds and ``construct tensor-current``
+# writes: near it, sl_n_transpose 16 (dimension 255) takes 11-16 s on a 2-core
+# machine and writes a 16 MB file, while a few more parameter digits would
+# exhaust memory
+MAX_OUTPUT_DIM = 256
+
 
 # ---------------------------------------------------------------------------
 # plumbing: direct sums and base changes

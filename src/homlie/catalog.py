@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product
 
 from .build import (
+    MAX_OUTPUT_DIM,
     change_basis,
     change_basis_quadratic,
     direct_sum,
@@ -22,7 +23,7 @@ from .build import (
     yau_twist,
 )
 from .errors import BadParams, UnknownFixture
-from .exactlin import Matrix, combine_rows, frac, solve_rows, sparse_row, sparse_rows, unit_vec, zero_vec
+from .exactlin import Matrix, combine_rows, frac, solve_rows, sparse_row, unit_vec, zero_vec
 from .homalg import AssocAlgebra, BilinearForm, ExtensionData1D, HomAlgebra, QuadraticHomAlgebra
 
 _ONE = Fraction(1)
@@ -243,12 +244,6 @@ def assoc_a(q) -> AssocAlgebra:
     return AssocAlgebra(4, prod, Matrix(alpha_rows))
 
 
-# the largest dimension ``emit`` builds: near it, sl_n_transpose 16 (dimension
-# 255) takes 11-16 s on a 2-core machine and writes a 16 MB file, while a few
-# more parameter digits would exhaust memory
-MAX_EMIT_DIM = 256
-
-
 def _x1_to_x3(*_):
     return ["x1", "x2", "x3"]
 
@@ -278,7 +273,7 @@ def emit(name: str, *params):
     """Build a registered fixture; raises UnknownFixture / BadParams.
 
     A sized fixture's dimension is worked out from its parameters first,
-    and one over ``MAX_EMIT_DIM`` raises BadParams before anything is built.
+    and one over ``build.MAX_OUTPUT_DIM`` raises BadParams before anything is built.
     """
     if name not in _FIXTURES:
         raise UnknownFixture(name)
@@ -292,8 +287,8 @@ def emit(name: str, *params):
         sizes = [_size(p) for p in params[:k]]
         dim = dimension(*sizes)
         # a size below the fixture's minimum is left to the builder's own error
-        if min(sizes) > 0 and dim > MAX_EMIT_DIM:
-            raise BadParams(f"{name} would have dimension {dim}, over the limit {MAX_EMIT_DIM}")
+        if min(sizes) > 0 and dim > MAX_OUTPUT_DIM:
+            raise BadParams(f"{name} would have dimension {dim}, over the limit {MAX_OUTPUT_DIM}")
     return builder(*params)
 
 
@@ -412,8 +407,8 @@ def _twist_skew_equations(q: QuadraticHomAlgebra, lam: Fraction, r: Matrix):
     These are DE1 and skewness of a one-dimensional double extension, and
     TDE2 and TDE3 of an involutive one with a one-dimensional extender.
     """
-    n, gram_rows = q.dim, sparse_rows(q.gram.data)  # the form is symmetric
-    a_rows, a_cols = sparse_rows(q.alpha.data), sparse_rows(zip(*q.alpha.data))
+    n, gram_rows = q.dim, q.gram.row_dicts  # the form is symmetric
+    a_rows, a_cols = q.alpha.row_dicts, q.alpha.col_dicts()
     for i, j in product(range(n), repeat=2):
         yield [(a_rows[i], a_cols[j]), ({i: 1}, {j: -lam})], r[i, j]
     for i, j in combinations_with_replacement(range(n), 2):  # the form identity is symmetric in i, j
@@ -428,11 +423,11 @@ def _bracket_equations(g: HomAlgebra, left: Matrix, p: Matrix, q: Matrix, r: Mat
     so right_q[t][k] = {m: [x_m, Q x_t]_k}.
     """
     n, ad = g.dim, g.ad_entries()  # ad: (k, t) -> (m, [x_m, x_t]_k)
-    left_rows, r_cols = sparse_rows(left.data), sparse_rows(zip(*r.data))
-    p_cols, neg_p_cols = sparse_rows(zip(*p.data)), sparse_rows(zip(*(-p).data))
+    left_rows, r_cols = left.row_dicts, r.col_dicts()
+    p_cols, neg_p_cols = p.col_dicts(), (-p).col_dicts()
     right_q = [
         [combine_rows((c, dict(ad.get((k, t), ()))) for t, c in q_col.items()) for k in range(n)]
-        for q_col in sparse_rows(zip(*q.data))
+        for q_col in q.col_dicts()
     ]
     for s, t in combinations(range(n), 2):
         c_st = {m: x for m, x in enumerate(g.bracket.get((s, t), ())) if x}

@@ -20,7 +20,7 @@ from fractions import Fraction
 import homlie
 
 from . import serialize as ser
-from .errors import HomLieError, PreconditionFailed
+from .errors import BadParams, HomLieError, PreconditionFailed
 from .exactlin import Matrix
 from .homalg import (
     AssocAlgebra,
@@ -52,9 +52,9 @@ def _lincomb(coeffs, names) -> str:
         elif c == -1:
             terms.append(("-", name))
         elif c > 0:
-            terms.append(("+", f"{c}*{name}"))
+            terms.append(("+", f"{ser.format_rational(c)}*{name}"))
         else:
-            terms.append(("-", f"{-c}*{name}"))
+            terms.append(("-", f"{ser.format_rational(-c)}*{name}"))
     if not terms:
         return "0"
     sign, first = terms[0]
@@ -190,11 +190,11 @@ def _cmd_analyze(args) -> int:
     elif op == "radical":
         _subspace_lines(rep, "radical", an.radical_involutive(g), names)
     elif op == "trace-form":
-        tf = an.trace_form(g)
+        gram = an.trace_form(g).gram.data
         rep.text("trace form gram:")
-        for row in tf.gram.data:
+        for row in gram:
             rep.text("  [" + ", ".join(ser.format_rational(x) for x in row) + "]")
-        rep.result["gram"] = [[ser.format_rational(x) for x in r] for r in tf.gram.data]
+        rep.result["gram"] = [[ser.format_rational(x) for x in r] for r in gram]
     elif op == "simple":
         verdict = an.simplicity_verdict(g)
         rep.text(f"simplicity: {verdict.tag}")
@@ -280,6 +280,9 @@ def _cmd_construct(args) -> int:
         assoc = _need(
             ser.load_path(args.algebra).assoc, "tensor-current needs an associative algebra file"
         )
+        dim = g.dim * assoc.dim
+        if dim > bd.MAX_OUTPUT_DIM:
+            raise BadParams(f"tensor-current would have dimension {dim}, over the limit {bd.MAX_OUTPUT_DIM}")
         lie, theta = bd.tensor_current(g.with_alpha(Matrix.identity(g.dim)), assoc, assoc.alpha)
         _write_algebra(rep, args.out, lie.with_alpha(theta))
     elif op == "untwist":

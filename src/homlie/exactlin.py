@@ -2,14 +2,16 @@
 
 Matrices over ``fractions.Fraction``, canonical subspaces, and one exact
 elimination kernel that works on sparse rows (``{column: nonzero value}``
-dicts).  The kernel is fraction-free: it clears a row's denominators once,
-then eliminates by integer cross-multiplication and divides out each row's
-content, so Fractions are made only where dense values are read.  A subspace
-keeps only the kernel's canonical integer rows (its reduced row-echelon
-basis, each row primitive with a positive pivot entry), so equality of
-subspaces is equality of those rows; the dense basis matrix is built when it
-is read.  Everything here except the sparse rows handed to the kernel is
-immutable; no floating point anywhere.
+dicts).  A matrix stores only its sparse rows, the form the kernels read,
+and builds its dense rows when they are read.  The kernel is fraction-free:
+it clears a row's denominators once, then eliminates by integer
+cross-multiplication and divides out each row's content, so Fractions are
+made only where its results are read.  A subspace keeps only the kernel's
+canonical integer rows (its reduced row-echelon basis, each row primitive
+with a positive pivot entry), so equality of subspaces is equality of those
+rows; the basis matrix is built when it is read.  Matrices and subspaces
+are immutable, and no code writes the rows they store; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -48,24 +50,8 @@ def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in v)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    acc = _ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
@@ -73,101 +59,126 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row major."""
+    """Immutable matrix of Fractions, stored as its sparse rows.
 
-    __slots__ = ("rows", "cols", "data")
+    ``row_dicts[i]`` is row i as a ``{column: nonzero Fraction}`` dict, the
+    form the kernels read, and ``col_dicts()`` builds the columns in that
+    form; the dense rows ``data`` are built on each read.  The stored rows
+    are shared with every reader, and no code writes them.
+    """
+
+    __slots__ = ("rows", "cols", "row_dicts")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(vec(row) for row in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        dense = [vec(row) for row in data]
+        if dense and any(len(r) != len(dense[0]) for r in dense):
             raise DimensionMismatch("ragged rows")
-        ncols = len(rows[0]) if rows else (cols or 0)
-        object.__setattr__(self, "data", rows)
+        self._set(sparse_rows(dense), len(dense[0]) if dense else (cols or 0))
+
+    def _set(self, rows: Sequence[dict[int, Fraction]], cols: int):
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "row_dicts", tuple(rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     # construction helpers -------------------------------------------------
     @classmethod
+    def _of(cls, rows: Sequence[dict[int, Fraction]], cols: int) -> "Matrix":
+        """The matrix with these sparse rows, which hold nonzero Fractions only; it keeps them."""
+        m = object.__new__(cls)
+        m._set(rows, cols)
+        return m
+
+    @classmethod
+    def from_row_dicts(cls, rows: Iterable[dict], cols: int) -> "Matrix":
+        """The matrix of width cols with these sparse rows, each entry coerced by ``frac`` and zeros dropped."""
+        out = [sparse_row((c, frac(x)) for c, x in row.items()) for row in rows]
+        if any(c not in range(cols) for row in out for c in row):
+            raise DimensionMismatch(f"the sparse rows of a matrix of width {cols} need keys in 0..{cols - 1}")
+        return cls._of(out, cols)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._of([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vec(n, i) for i in range(n)])
+        return cls._of([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
         e = vec(entries)
-        n = len(e)
-        return cls([[e[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([{i: x} if x else {} for i, x in enumerate(e)], len(e))
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return cls.zeros(0, 0)
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)], cols=len(cols))
+        return cls(cols).transpose()
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        out = [[_ZERO] * m for _ in range(n)]
-        r = c = 0
+        rows, off = [], 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r + i][c + j] = b.data[i][j]
-            r += b.rows
-            c += b.cols
-        return cls(out, cols=m)
+            rows += [{c + off: x for c, x in r.items()} for r in b.row_dicts]
+            off += b.cols
+        return cls._of(rows, off)
 
     # access ----------------------------------------------------------------
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, built on each read."""
+        n = self.cols
+        return tuple(dense_row(r, n) for r in self.row_dicts)
+
+    def col_dicts(self) -> list[dict[int, Fraction]]:
+        """The sparse columns, built afresh on each call."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.row_dicts):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return self.row_dicts[i].get(range(self.cols)[j], _ZERO)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
+        return tuple(r.get(range(self.cols)[j], _ZERO) for r in self.row_dicts)
 
     # arithmetic ------------------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([add_vec(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
+        rows = [sparse_row(chain(a.items(), b.items())) for a, b in zip(self.row_dicts, other.row_dicts)]
+        return Matrix._of(rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([sub_vec(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix([scale_vec(-_ONE, r) for r in self.data], cols=self.cols)
+        return self.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Row i of the product combines other's sparse rows by the nonzeros of row i."""
+        """Row i of the product combines other's sparse rows by the entries of row i."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        rows = sparse_rows(other.data)
-        return Matrix(
-            [dense_row(combine_rows((x, rows[k]) for k, x in enumerate(r) if x), other.cols) for r in self.data],
-            cols=other.cols,
-        )
+        rows = other.row_dicts
+        return Matrix._of([combine_rows((x, rows[k]) for k, x in r.items()) for r in self.row_dicts], other.cols)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         w = vec(v)
         if self.cols != len(w):
             raise DimensionMismatch(f"{self.shape} applied to length {len(w)}")
-        return tuple(dot(r, w) for r in self.data)
+        return tuple(sum((x * w[c] for c, x in r.items() if w[c]), _ZERO) for r in self.row_dicts)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix([scale_vec(c, r) for r in self.data], cols=self.cols)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._of([{j: c * x for j, x in r.items()} for r in self.row_dicts], self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
+        return Matrix._of(self.col_dicts(), self.rows)
 
     def power(self, k: int) -> "Matrix":
         """self^k by repeated squaring; the identity only for k = 0."""
@@ -194,16 +205,16 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(self.row_dicts)
 
     def is_identity(self) -> bool:
         return self.is_square() and self == Matrix.identity(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.shape == other.shape and self.data == other.data
+        return isinstance(other, Matrix) and self.shape == other.shape and self.row_dicts == other.row_dicts
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self.row_dicts)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -216,22 +227,23 @@ class Matrix:
         The result has the shape of self: the canonical basis of the row
         space first, then zero rows.
         """
-        reduced, pivots = _reduce(sparse_rows(self.data))
-        rows = [_rref_row(r, p, self.cols) for r, p in zip(reduced, pivots)]
-        rows += [zero_vec(self.cols)] * (self.rows - len(rows))
-        return Matrix(rows, cols=self.cols), pivots
+        reduced, pivots = _reduce(self.row_dicts)
+        rows = [_rref_row(r, p) for r, p in zip(reduced, pivots)]
+        rows += [{} for _ in range(self.rows - len(rows))]
+        return Matrix._of(rows, self.cols), pivots
 
     def rank(self) -> int:
-        return len(_reduce(sparse_rows(self.data))[1])
+        return len(_reduce(self.row_dicts)[1])
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular: the right block of the sparse rref of [self | I]."""
         self._square()
         n = self.rows
-        reduced, pivots = _reduce([{**r, n + i: 1} for i, r in enumerate(sparse_rows(self.data))])
+        reduced, pivots = _reduce([{**r, n + i: 1} for i, r in enumerate(self.row_dicts)])
         if pivots != tuple(range(n)):
             return None
-        return Matrix([_rref_row(r, p, 2 * n)[n:] for r, p in zip(reduced, pivots)], cols=n)
+        rows = [{c - n: Fraction(x, r[p]) for c, x in r.items() if c >= n} for r, p in zip(reduced, pivots)]
+        return Matrix._of(rows, n)
 
     def charpoly(self) -> tuple[Fraction, ...]:
         """Monic characteristic polynomial, descending coefficients.
@@ -243,8 +255,8 @@ class Matrix:
         """
         self._square()
         n = self.rows
-        d = lcm(*[x.denominator for r in self.data for x in r])
-        cols = [{i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in sparse_rows(zip(*self.data))]
+        d = lcm(*[x.denominator for r in self.row_dicts for x in r.values()])
+        cols = [{i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in self.col_dicts()]
         coeffs = [_ONE]
         m = [{j: 1} for j in range(n)]
         for k in range(1, n + 1):
@@ -266,14 +278,14 @@ class Matrix:
 def first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     """First entry (i, j) in row-major order where a and b differ, or None."""
     a._same_shape(b)
-    for i, (ra, rb) in enumerate(zip(a.data, b.data)):
+    for i, (ra, rb) in enumerate(zip(a.row_dicts, b.row_dicts)):
         if ra != rb:
-            return i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            return i, min(j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
     return None
 
 
 def sparse_rows(data: Iterable[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
-    """Dense rows as sparse rows; ``sparse_rows(zip(*m.data))`` gives m's columns."""
+    """Dense rows as sparse rows."""
     return [{c: x for c, x in enumerate(r) if x} for r in data]
 
 
@@ -306,13 +318,10 @@ def dense_row(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _rref_row(row: dict[int, int], pivot: int, n: int) -> tuple[Fraction, ...]:
-    """The length-n RREF row of an integer pivot row: each entry over the pivot entry."""
+def _rref_row(row: dict[int, int], pivot: int) -> dict[int, Fraction]:
+    """The sparse RREF row of an integer pivot row: each entry over the pivot entry."""
     d = row[pivot]
-    out = [_ZERO] * n
-    for c, x in row.items():
-        out[c] = Fraction(x, d)
-    return tuple(out)
+    return {c: Fraction(x, d) for c, x in row.items()}
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
@@ -438,7 +447,7 @@ class Subspace:
         # a basis with no rows may come without a width, as Matrix([]) does
         if basis.rows and basis.cols != ambient_dim:
             raise DimensionMismatch("basis vectors must match ambient dimension")
-        self._set(ambient_dim, *_reduce(sparse_rows(basis.data)))
+        self._set(ambient_dim, *_reduce(basis.row_dicts))
 
     def _set(self, ambient_dim: int, rows: Sequence[dict[int, int]], pivots: Iterable[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -470,9 +479,7 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        n = self.ambient_dim
-        dense = [_rref_row(r, p, n) for r, p in zip(self._rows, self.pivots)]
-        return Matrix(dense) if dense else Matrix.zeros(0, n)
+        return Matrix._of([_rref_row(r, p) for r, p in zip(self._rows, self.pivots)], self.ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -556,14 +563,14 @@ class Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Right kernel {x : a x = 0} as a subspace of Q^cols."""
-    return solve_rows(sparse_rows(a.data), a.cols)[1]
+    return solve_rows(a.row_dicts, a.cols)[1]
 
 
 def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and mapped into itself by every generator.
 
     Each generator is an operator on Q^n given by its n sparse columns
-    (``sparse_rows(zip(*m.data))`` for a matrix m).  One echelon grows from
+    (``m.col_dicts()`` for a matrix m).  One echelon grows from
     the seed's basis.  Every row that joins it is mapped once by each
     generator, and the images are reduced into it in turn, until no row is
     left to map (the MeatAxe spin-up, Parker 1984).
@@ -588,7 +595,7 @@ def spin_up(generators: Sequence[Sequence[dict[int, Fraction]]], seed: Subspace)
 
 
 def column_space(a: Matrix) -> Subspace:
-    return Subspace.from_vectors(a.rows, [a.col(j) for j in range(a.cols)])
+    return Subspace(a.rows, a.transpose())
 
 
 def kernel_image_power(a: Matrix) -> tuple[int, Subspace, Subspace]:
@@ -674,10 +681,9 @@ def rational_eigenpairs(a: Matrix) -> list[tuple[Fraction, Subspace]]:
     deterministic.  May be empty.
     """
     a._square()
-    rows = sparse_rows(a.data)
     pairs = []
     for lam in rational_roots(a.charpoly()):
-        eig = eigenspace(rows, lam)
+        eig = eigenspace(a.row_dicts, lam)
         if not eig.is_zero():
             pairs.append((lam, eig))
     return pairs

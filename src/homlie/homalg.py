@@ -27,7 +27,6 @@ from .exactlin import (
     frac,
     kernel,
     solve_rows,
-    sparse_rows,
     vec,
 )
 
@@ -205,13 +204,12 @@ class HomAlgebra(Record):
         return [[dict(rows.get((i, q), _EMPTY)) for q in range(n)] for i in range(n)]
 
     def ad_matrices(self) -> list[Matrix]:
-        """Matrices of every [x_i, .] acting on column vectors: the dense view of ``ad_columns``."""
-        return [Matrix(zip(*(dense_row(c, self.dim) for c in cols))) for cols in self.ad_columns()]
+        """Matrices of every [x_i, .] acting on column vectors: the matrix view of ``ad_columns``."""
+        return [Matrix.from_row_dicts(cols, self.dim).transpose() for cols in self.ad_columns()]
 
     def ad_vec(self, x: Sequence) -> Matrix:
         """Matrix of [x, .] for an arbitrary coefficient vector x."""
-        cols = _ad_cols(self, _sparse(x, self.dim))
-        return Matrix(zip(*(dense_row(c, self.dim) for c in cols)))
+        return Matrix.from_row_dicts(_ad_cols(self, _sparse(x, self.dim)), self.dim).transpose()
 
     def is_abelian(self) -> bool:
         return not self.bracket
@@ -239,7 +237,7 @@ def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int,
     n = g.dim
     if left.shape != (n, n) or right.shape != (n, n):
         raise DimensionMismatch("bracket_table maps must be dim x dim")
-    lcols, rcols = _cols(left), _cols(right)
+    lcols, rcols = left.col_dicts(), right.col_dicts()
     return {
         (i, j): dense_row(_product(g._rows, lcols[i], rcols[j]), n)
         for i in range(n)
@@ -404,13 +402,9 @@ class InvolutiveExtensionData(Record):
         object.__setattr__(self, "phi", tuple(self.phi))
 
 
-def _cols(m: Matrix) -> list[SparseRow]:
-    return sparse_rows(zip(*m.data))
-
-
 def _ad_alpha(g: HomAlgebra) -> list[list[SparseRow]]:
     """Sparse columns of ad(alpha(x_p)) for every p."""
-    return [_ad_cols(g, col) for col in _cols(g.alpha)]
+    return [_ad_cols(g, col) for col in g.alpha.col_dicts()]
 
 
 def _jacobi(g: HomAlgebra, ad_alpha, i: int, j: int, k: int) -> SparseRow:
@@ -468,8 +462,8 @@ def bracket_mismatch(
     shape = (h.dim, n)
     if lhs.shape != shape or any(m.shape != shape for pair in terms for m in pair):
         raise DimensionMismatch("maps must send g into h")
-    left = _cols(lhs)
-    maps = [(_cols(p), _cols(q)) for p, q in terms]
+    left = lhs.col_dicts()
+    maps = [(p.col_dicts(), q.col_dicts()) for p, q in terms]
     for i in range(n - 1):
         # the sparse columns [P x_i, x_r] of ad(P x_i), with Q's columns
         ads = [(_ad_cols(h, pc[i]), qc) for pc, qc in maps]
@@ -526,14 +520,6 @@ def classify_alpha(g: HomAlgebra) -> AlphaClass:
     return AlphaClass(tag, mult, regular, involutive, nilpotent)
 
 
-def _first_row_mismatch(a: Sequence[SparseRow], b: Sequence[SparseRow]) -> tuple[int, int] | None:
-    """First entry (y, z) in row-major order where two lists of sparse rows differ."""
-    for y, (ra, rb) in enumerate(zip(a, b)):
-        if ra != rb:
-            return y, min(z for z in ra.keys() | rb.keys() if ra.get(z) != rb.get(z))
-    return None
-
-
 def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     """Check that b is an invariant scalar product compatible with the twist.
 
@@ -550,7 +536,7 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
     nondeg = ker.is_zero()
     degenerate_witness = None if nondeg else ker.vectors()[0]
     inv_witness = None
-    grows, gcols = sparse_rows(gram.data), _cols(gram)
+    grows, gcols = gram.row_dicts, gram.col_dicts()
     # B([x_p,x_q], .) and B(., [x_p,x_q]) for the pairs p < q, and B([x_q,x_p], .)
     left, right = {}, {}
     for (p, q), v in g._rows.items():
@@ -565,9 +551,8 @@ def check_quadratic(g: HomAlgebra, b: BilinearForm) -> QuadraticReport:
             c = v.get(i)
             if c:
                 rhs[y][z], rhs[z][y] = c, -c
-        w = _first_row_mismatch(lhs, rhs)
-        if w is not None:
-            inv_witness = (i,) + w
+        if lhs != rhs:
+            inv_witness = (i,) + first_mismatch(Matrix.from_row_dicts(lhs, n), Matrix.from_row_dicts(rhs, n))
             break
     alpha_witness = first_mismatch(gram @ g.alpha, g.alpha.transpose() @ gram)
     return QuadraticReport(
@@ -587,8 +572,8 @@ def check_hom_quadratic(g: HomAlgebra, b: BilinearForm, gamma: Matrix) -> bool:
     if b.dim != g.dim or gamma.shape != (g.dim, g.dim):
         raise DimensionMismatch("incompatible dimensions")
     n = g.dim
-    left = sparse_rows((b.gram @ gamma).data)  # rows of (u,w) -> B(u,gamma(w))
-    right = _cols(gamma.transpose() @ b.gram)  # columns of (u,w) -> B(gamma(u),w)
+    left = (b.gram @ gamma).row_dicts  # rows of (u,w) -> B(u,gamma(w))
+    right = (gamma.transpose() @ b.gram).col_dicts()  # columns of (u,w) -> B(gamma(u),w)
     for i in range(n):
         ad = [g._rows.get((i, y), _EMPTY) for y in range(n)]  # [x_i, x_y]
         lhs = [combine_rows((c, left[k]) for k, c in v.items()) for v in ad]
@@ -639,8 +624,8 @@ def representation_witness(g: HomAlgebra, r: Representation) -> tuple[int, int] 
     if r.algebra_dim != g.dim:
         raise DimensionMismatch("representation is over a different algebra")
     n, m = g.dim, r.module_dim
-    rho = [_cols(a) for a in r.rho]
-    beta, alpha = _cols(r.beta), _cols(g.alpha)
+    rho = [a.col_dicts() for a in r.rho]
+    beta, alpha = r.beta.col_dicts(), g.alpha.col_dicts()
     # the columns of rho(x_k) beta and of rho(a(x_k))
     rho_beta = [
         [combine_rows((c, cols[t]) for t, c in beta[s].items()) for s in range(m)] for cols in rho
@@ -671,7 +656,7 @@ def check_representation(g: HomAlgebra, r: Representation) -> bool:
 def hom_associativity_witness(a: AssocAlgebra) -> tuple[int, int, int] | None:
     """First basis triple where mu(a(x), mu(y,z)) != mu(mu(x,y), a(z)), or None."""
     n = a.dim
-    alpha = _cols(a.alpha)
+    alpha = a.alpha.col_dicts()
     units = [{q: _ONE} for q in range(n)]
     # the sparse columns mu(a(x_i), x_q) and mu(x_p, a(x_k))
     left = [[_product(a._rows, alpha[i], e) for e in units] for i in range(n)]
@@ -691,7 +676,7 @@ def product_mismatch(a: AssocAlgebra, f: Matrix) -> tuple[int, int] | None:
     """First basis pair (i, j) in row-major order where f(x_i x_j) != f(x_i) f(x_j), or None."""
     if f.shape != (a.dim, a.dim):
         raise DimensionMismatch("f must be dim x dim")
-    cols = _cols(f)
+    cols = f.col_dicts()
     for i in range(a.dim):
         for j in range(a.dim):
             image = combine_rows((c, cols[k]) for k, c in a._rows.get((i, j), _EMPTY).items())

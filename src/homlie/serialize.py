@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import HomLieError, ParseError
 from .exactlin import Matrix
 from .homalg import (
     AssocAlgebra,
@@ -27,7 +28,13 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9][0-9]*)?$")
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """The one formatter of report and file values, "p" or "p/q"."""
+    try:
+        return str(Fraction(x))
+    except ValueError:  # more digits than Python converts to a string
+        raise HomLieError(
+            f"a result value has more than {sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
 
 
 def parse_rational(s) -> Fraction:

@@ -15,13 +15,17 @@ trial division up to the square root of its input.
 ``dense_matmul``, ``dense_power`` and ``dense_inverse`` are the product over
 all pairs of rows and columns, the power started from the identity and the
 inverse read off the dense RREF of [A | I] that ``Matrix`` used before its
-products, powers, ranks and inverses moved to sparse rows.
+products, powers, ranks and inverses moved to sparse rows.  ``dot``,
+``dense_add``, ``dense_sub``, ``dense_scale``, ``dense_transpose``,
+``dense_block_diagonal``, ``dense_from_cols`` and ``dense_diagonal`` are the
+entrywise code ``Matrix`` ran on its dense rows before it came to store only
+its sparse rows.
 """
 
 from fractions import Fraction
 
 from homlie.errors import DimensionMismatch
-from homlie.exactlin import Matrix, Subspace, dot, rational_roots, unit_vec, zero_vec
+from homlie.exactlin import Matrix, Subspace, rational_roots, unit_vec, vec, zero_vec
 
 from dense_axioms import dense_ad_matrices
 
@@ -52,6 +56,59 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == nr:
             break
     return Matrix(rows, cols=nc), tuple(pivots)
+
+
+def dot(u, v) -> Fraction:
+    """The dot product of two dense vectors, skipping zero products."""
+    acc = _ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def dense_add(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)], cols=a.cols)
+
+
+def dense_sub(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)], cols=a.cols)
+
+
+def dense_scale(a: Matrix, c) -> Matrix:
+    return Matrix([[c * x for x in r] for r in a.data], cols=a.cols)
+
+
+def dense_transpose(a: Matrix) -> Matrix:
+    return Matrix([a.col(j) for j in range(a.cols)], cols=a.rows)
+
+
+def dense_block_diagonal(blocks) -> Matrix:
+    n = sum(b.rows for b in blocks)
+    m = sum(b.cols for b in blocks)
+    out = [[_ZERO] * m for _ in range(n)]
+    r = c = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                out[r + i][c + j] = b.data[i][j]
+        r += b.rows
+        c += b.cols
+    return Matrix(out, cols=m)
+
+
+def dense_from_cols(cols) -> Matrix:
+    cols = [vec(c) for c in cols]
+    if not cols:
+        return Matrix.zeros(0, 0)
+    n = len(cols[0])
+    return Matrix([[c[i] for c in cols] for i in range(n)], cols=len(cols))
+
+
+def dense_diagonal(entries) -> Matrix:
+    e = vec(entries)
+    n = len(e)
+    return Matrix([[e[i] if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
 
 
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -6,6 +6,7 @@ import sympy
 
 from homlie import catalog
 from homlie.analyze import center
+from homlie.build import MAX_OUTPUT_DIM
 from homlie.errors import BadParams, UnknownFixture
 from homlie.exactlin import Matrix, Subspace, unit_vec
 from homlie.homalg import (
@@ -54,12 +55,12 @@ OVER_THE_LIMIT = [
 
 @pytest.mark.parametrize("params, dim", OVER_THE_LIMIT, ids=[p[0][0] for p in OVER_THE_LIMIT])
 def test_emit_refuses_a_fixture_over_the_dimension_limit(params, dim):
-    with pytest.raises(BadParams, match=f"dimension {dim}, over the limit {catalog.MAX_EMIT_DIM}"):
+    with pytest.raises(BadParams, match=f"dimension {dim}, over the limit {MAX_OUTPUT_DIM}"):
         catalog.emit(*params)
 
 
 def test_emit_builds_up_to_the_dimension_limit():
-    assert catalog.MAX_EMIT_DIM == 256
+    assert MAX_OUTPUT_DIM == 256
     for params in (("abelian", 256), ("filiform", 255, 1), ("two_nilpotent", 128, 128)):
         assert catalog.emit(*params).dim == 256
     # sizes below a fixture's minimum keep the builder's own error

@@ -11,9 +11,9 @@ import pytest
 
 import homlie
 from homlie import catalog, cli, serialize as ser
-from homlie.errors import ParseError
+from homlie.errors import HomLieError, ParseError
 from homlie.exactlin import Matrix
-from homlie.homalg import BilinearForm
+from homlie.homalg import AssocAlgebra, BilinearForm
 
 
 def run_cli(args, cwd):
@@ -582,6 +582,57 @@ def test_cli_centroid_over_the_entry_limit_is_refused(tmp_path, capsys):
         "error: the centroid has dimension 1600 in Q^1600, 2560000 basis entries,"
         f" over the limit {cli.MAX_CENTROID_ENTRIES}"
     ]
+
+
+@pytest.mark.parametrize(
+    "payload, args",
+    [
+        # tr(ad(x1)^2) = 10^8000
+        (
+            {"dim": 2, "bracket": [{"i": 0, "j": 1, "coeffs": ["0", "1" + "0" * 4000]}], "alpha": [["1", "0"], ["0", "1"]]},
+            ["analyze", "trace-form"],
+        ),
+        # the twist 2^20001 has 6,021 digits
+        ({"dim": 1, "bracket": [], "alpha": [["2"]]}, ["construct", "derived", "20000"]),
+    ],
+    ids=["trace-form", "derived"],
+)
+def test_cli_value_too_long_to_print_is_exit_2(tmp_path, capsys, payload, args):
+    path, out_path = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(payload))
+    extra = ["--out", str(out_path)] if args[0] == "construct" else []
+    assert cli.main([*args, str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: a result value has more than {sys.get_int_max_str_digits()} digits, too long to print"
+    ]
+    assert not out_path.exists()
+
+
+def test_lincomb_formats_through_format_rational():
+    assert cli._lincomb([Fraction(-3, 2), 1, 0, -1, 2], ["a", "b", "c", "d", "e"]) == "-3/2*a + b - d + 2*e"
+    with pytest.raises(HomLieError):
+        cli._lincomb([10**5000], ["x"])
+
+
+def test_cli_tensor_current_over_the_output_bound_is_refused(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("tensor_current ran")
+
+    monkeypatch.setattr(homlie.build, "tensor_current", unreachable)
+    # sl2 (dim 3) with an 86-dimensional algebra would have dimension 258
+    ser.save_path(tmp_path / "sl2.json", ser.algebra_to_dict(catalog.sl2()))
+    ser.save_path(tmp_path / "a.json", ser.assoc_to_dict(AssocAlgebra(86, {}, Matrix.identity(86))))
+    out_path = tmp_path / "out.json"
+    args = ["construct", "tensor-current", str(tmp_path / "sl2.json"), str(tmp_path / "a.json"), "--out", str(out_path)]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: tensor-current would have dimension 258, over the limit {homlie.build.MAX_OUTPUT_DIM}"
+    ]
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])

@@ -36,6 +36,7 @@ from dense_elimination import (
     dense_solve,
     dense_span,
     dense_spin_up,
+    dense_transpose,
     trial_divisors,
 )
 
@@ -756,15 +757,22 @@ def test_inverse_and_power_reject_bad_input():
         Matrix.identity(2).power(-1)
 
 
-def test_matmul_makes_no_dense_dot_products(monkeypatch):
-    q = sl_n_transpose(3)
-    expected = [dense_matmul(a, b) for a, b in ((q.alpha, q.gram), (q.gram, q.gram))]
+def test_products_powers_and_eliminations_build_no_dense_rows(monkeypatch):
+    # upper triangular with a nonzero diagonal, so invertible, times a full matrix
+    a = Matrix([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + j) % 3) if j > i else i + 1 if j == i else 0
+                 for j in range(10)] for i in range(10)])
+    c = Matrix([[(i * j + 2 * i + 1) % 5 - 2 for j in range(10)] for i in range(10)])
+    expected = [dense_matmul(a, c), dense_transpose(a), dense_charpoly(a), dense_inverse(a),
+                len(dense_rref(a)[1]), dense_power(a, 5)]
 
-    def no_dot(u, v):
-        raise AssertionError("dense dot product in a matrix product")
+    def no_dense_row(row, n):
+        raise AssertionError("dense row built")
 
-    monkeypatch.setattr(exactlin, "dot", no_dot)
-    assert [q.alpha @ q.gram, q.gram @ q.gram] == expected
+    monkeypatch.setattr(exactlin, "dense_row", no_dense_row)
+    got = [a @ c, a.transpose(), a.charpoly(), a.inverse(), a.rank(), a.power(5)]
+    monkeypatch.undo()
+    assert got == expected
+    assert got[3] is not None
 
 
 def test_power_rank_and_inverse_build_no_identity_and_no_dense_rref(monkeypatch):

@@ -2,7 +2,9 @@
 
 It imports nothing outside the standard library (``dependencies = []``),
 no module imports a private ``_name`` from another homlie module (a helper
-that modules share is public and documented), and every import sits at module
+that modules share is public and documented), no module reads a private
+attribute ``obj._name`` that its own code neither defines nor sets (so one
+module never reaches into another's objects), and every import sits at module
 level, so none runs again on each call.  The one exception is the package's
 ``__getattr__`` in ``homlie/__init__.py``, which loads a submodule on first
 access, so that each command loads only the modules it runs.
@@ -60,13 +62,81 @@ def test_imports_no_private_homlie_names(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 
+def _callee(node):
+    """The name a call calls, ``f`` for ``f(...)`` and ``obj.f(...)`` alike, else None."""
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _own_names(tree):
+    """Every name a module defines (a function, class or assigned name) or sets on an object.
+
+    An object's attribute is set by assigning to ``obj.name`` or by a
+    ``setattr`` or ``__setattr__`` call with the name as a string.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and _callee(node) in ("setattr", "__setattr__")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
+def _foreign_private_reads(tree):
+    """(line, name) of each read of ``obj._name``, obj not self or cls, of a name the module does not own."""
+    own = set(_own_names(tree))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _is_private(node.attr)
+            and node.attr not in own
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ):
+            yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_reads_no_private_attribute_of_another_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = sorted(set(_foreign_private_reads(tree)))
+    assert reads == [], f"{path.name} reads private attributes it does not own: {reads}"
+
+
+def test_private_attribute_rule_sees_reads_not_stores():
+    code = """
+def rows_of(m):
+    return m._rows
+
+def pivots_of(space):
+    return space._pivots
+
+class Table:
+    def __init__(self, rows):
+        object.__setattr__(self, "_pivots", rows)
+
+def configure(parser):
+    parser._matcher = None
+    return self._anything, cls._other, obj.__dict__
+"""
+    assert list(_foreign_private_reads(ast.parse(code))) == [(3, "_rows")]
+
+
 def _is_import_call(node):
     """A call of ``__import__`` or ``importlib.import_module``, however it is reached."""
-    if not isinstance(node, ast.Call):
-        return False
-    f = node.func
-    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-    return name in ("__import__", "import_module")
+    return isinstance(node, ast.Call) and _callee(node) in ("__import__", "import_module")
 
 
 def _function_imports(tree, filename):
