@@ -31,10 +31,9 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
+    combine_rows,
     first_mismatch,
-    is_zero_vec,
     unit_vec,
-    zero_vec,
 )
 from .homalg import (
     AssocAlgebra,
@@ -46,7 +45,7 @@ from .homalg import (
     Representation,
     annihilator,
     bracket_mismatch,
-    bracket_table,
+    bracket_rows,
     center,
     check_hom_lie,
     check_hom_associative,
@@ -71,15 +70,12 @@ MAX_OUTPUT_DIM = 256
 # plumbing: direct sums and base changes
 # ---------------------------------------------------------------------------
 
-def _table(dim: int) -> defaultdict:
-    """Bracket entries of a dim-dimensional algebra being assembled, zero until written."""
-    return defaultdict(lambda: list(zero_vec(dim)))
-
-
+# the writers below fill in the sparse rows of a bracket being assembled, a defaultdict(dict)
 def _put_bracket(table: dict, off: int, g: HomAlgebra):
     """Copy the bracket of g onto the basis vectors off .. off + g.dim - 1."""
-    for (i, j), v in g.bracket.items():
-        table[(off + i, off + j)][off : off + g.dim] = v
+    for (i, j), row in g.table.items():
+        if i < j:
+            table[(off + i, off + j)].update({off + k: c for k, c in row.items()})
 
 
 def _put_action(table: dict, x_off: int, v_off: int, mats):
@@ -89,10 +85,9 @@ def _put_action(table: dict, x_off: int, v_off: int, mats):
     every x_i.
     """
     for i, mat in enumerate(mats):
-        for u in range(mat.cols):
-            col = mat.col(u)
-            if not is_zero_vec(col):
-                table[(x_off + i, v_off + u)][v_off : v_off + mat.rows] = col
+        for u, col in enumerate(mat.col_dicts()):
+            if col:
+                table[(x_off + i, v_off + u)].update({v_off + k: c for k, c in col.items()})
 
 
 def _put_pairing(table: dict, v_off: int, out_off: int, mats, gram: Matrix):
@@ -101,16 +96,16 @@ def _put_pairing(table: dict, v_off: int, out_off: int, mats, gram: Matrix):
     Each mats[r] must be skew for the form, so that the pairing is skew.
     """
     for r, mat in enumerate(mats):
-        pairing = mat.transpose() @ gram
-        for i in range(pairing.rows):
-            for j in range(i + 1, pairing.cols):
-                if pairing[i, j]:
-                    table[(v_off + i, v_off + j)][out_off + r] = pairing[i, j]
+        for i, row in enumerate((mat.transpose() @ gram).row_dicts):
+            for j, c in row.items():
+                if j > i:
+                    table[(v_off + i, v_off + j)][out_off + r] = c
 
 
-def _mapped(m: Matrix, pairs) -> dict:
-    """The bracket entries pairs with every coefficient vector mapped through m."""
-    return {ij: m.apply(v) for ij, v in pairs.items()}
+def _mapped(m: Matrix, rows) -> dict:
+    """The sparse rows of the pairs i < j in rows, each mapped through m."""
+    cols = m.col_dicts()
+    return {ij: combine_rows((c, cols[k]) for k, c in row.items()) for ij, row in rows.items() if ij[0] < ij[1]}
 
 
 def _extension_gram(gamma: Matrix, base: Matrix) -> Matrix:
@@ -130,7 +125,7 @@ def _coadjoint(g: HomAlgebra) -> tuple[Matrix, ...]:
 
 def direct_sum(g: HomAlgebra, h: HomAlgebra) -> HomAlgebra:
     """Direct sum of Hom-algebras with blockwise bracket and twist."""
-    bracket = _table(g.dim + h.dim)
+    bracket = defaultdict(dict)
     _put_bracket(bracket, 0, g)
     _put_bracket(bracket, g.dim, h)
     return HomAlgebra(g.dim + h.dim, bracket, Matrix.block_diagonal([g.alpha, h.alpha]))
@@ -147,7 +142,7 @@ def change_basis(g: HomAlgebra, p: Matrix) -> HomAlgebra:
     pinv = p.inverse()
     if pinv is None:
         raise NotAutomorphism("change of basis must be invertible")
-    return HomAlgebra(g.dim, _mapped(pinv, bracket_table(g, p, p)), pinv @ g.alpha @ p)
+    return HomAlgebra(g.dim, _mapped(pinv, bracket_rows(g, p, p)), pinv @ g.alpha @ p)
 
 
 def change_basis_quadratic(q: QuadraticHomAlgebra, p: Matrix) -> QuadraticHomAlgebra:
@@ -166,8 +161,11 @@ def block_algebra(t: QuadraticHomAlgebra, lo: int, hi: int) -> QuadraticHomAlgeb
     if not 0 <= lo < hi <= t.dim:
         raise DimensionMismatch(f"block {lo}..{hi} outside dimension {t.dim}")
     k = hi - lo
-    pairs = t.algebra.bracket.items()
-    bracket = {(i - lo, j - lo): v[lo:hi] for (i, j), v in pairs if lo <= i and j < hi}
+    pairs = t.algebra.table.items()
+    bracket = {
+        (i - lo, j - lo): {c - lo: x for c, x in row.items() if lo <= c < hi}
+        for (i, j), row in pairs if lo <= i < j < hi
+    }
     alpha, gram = (Matrix([r[lo:hi] for r in m.data[lo:hi]]) for m in (t.alpha, t.gram))
     return QuadraticHomAlgebra(HomAlgebra(k, bracket, alpha), BilinearForm(k, gram))
 
@@ -196,7 +194,7 @@ def yau_twist(g: HomAlgebra, endo: Matrix) -> HomAlgebra:
     w = bracket_mismatch(g, g, endo, ((endo, endo),))
     if w is not None:
         raise NotEndomorphism("map does not preserve the bracket", witness=w)
-    return HomAlgebra(g.dim, _mapped(endo, g.bracket), endo)
+    return HomAlgebra(g.dim, _mapped(endo, g.table), endo)
 
 
 def untwist_regular(g: HomAlgebra) -> HomAlgebra:
@@ -209,7 +207,7 @@ def untwist_regular(g: HomAlgebra) -> HomAlgebra:
     inv = g.alpha.inverse()
     if inv is None:
         raise NotRegular("twist map is not invertible")
-    out = HomAlgebra(g.dim, _mapped(inv, g.bracket), Matrix.identity(g.dim))
+    out = HomAlgebra(g.dim, _mapped(inv, g.table), Matrix.identity(g.dim))
     rep = check_hom_lie(out)
     if not rep.hom_jacobi:
         raise NotRegular(
@@ -225,7 +223,7 @@ def derived_hom_algebra(g: HomAlgebra, n: int) -> HomAlgebra:
         raise ValueError("derived index must be >= 0")
     require_multiplicative(g)
     p = g.alpha.power(n)
-    return HomAlgebra(g.dim, _mapped(p, g.bracket), p @ g.alpha)
+    return HomAlgebra(g.dim, _mapped(p, g.table), p @ g.alpha)
 
 
 def centroid_twists(g: HomAlgebra, theta: Matrix) -> tuple[HomAlgebra, HomAlgebra]:
@@ -239,8 +237,8 @@ def centroid_twists(g: HomAlgebra, theta: Matrix) -> tuple[HomAlgebra, HomAlgebr
     if w is not None:
         raise NotInCentroid("theta[x,y] != [theta(x),y]", witness=w)
     n = g.dim
-    b1 = bracket_table(g, theta, Matrix.identity(n))
-    b2 = bracket_table(g, theta, theta)
+    b1 = bracket_rows(g, theta, Matrix.identity(n))
+    b2 = bracket_rows(g, theta, theta)
     return HomAlgebra(n, b1, theta), HomAlgebra(n, b2, theta)
 
 
@@ -269,7 +267,7 @@ def untwist_involutive(
     require_multiplicative(h)
     n = h.dim
     theta = h.alpha
-    lie = HomAlgebra(n, bracket_table(h, theta, theta), Matrix.identity(n))
+    lie = HomAlgebra(n, bracket_rows(h, theta, theta), Matrix.identity(n))
     t = None
     if b is not None:
         qrep = check_quadratic(h, b)
@@ -293,8 +291,8 @@ def centroid_untwist(
     if w is not None:
         raise AlphaNotInCentroid("twist is not in the centroid", witness=w)
     n = h.dim
-    l1 = HomAlgebra(n, bracket_table(h, theta, Matrix.identity(n)), Matrix.identity(n))
-    l2 = HomAlgebra(n, bracket_table(h, theta, theta), Matrix.identity(n))
+    l1 = HomAlgebra(n, bracket_rows(h, theta, Matrix.identity(n)), Matrix.identity(n))
+    l2 = HomAlgebra(n, bracket_rows(h, theta, theta), Matrix.identity(n))
     form = None
     if b is not None:
         if theta.inverse() is None:
@@ -331,7 +329,7 @@ def semidirect_sum(g: HomAlgebra, r: Representation) -> HomAlgebra:
     if w is not None:
         raise NotRepresentation("module axiom fails", witness=w)
     dim = g.dim + r.module_dim
-    bracket = _table(dim)
+    bracket = defaultdict(dict)
     _put_bracket(bracket, 0, g)
     _put_action(bracket, 0, g.dim, r.rho)
     return HomAlgebra(dim, bracket, Matrix.block_diagonal([g.alpha, r.beta]))
@@ -353,7 +351,7 @@ def quadratic_yau_twist(q: QuadraticHomAlgebra, endo: Matrix) -> QuadraticHomAlg
         raise NotAutomorphism("twist must be a bracket automorphism", witness=w)
     if endo.transpose() @ q.gram != q.gram @ endo:
         raise NotSymmetric("automorphism is not symmetric for the form")
-    alg = HomAlgebra(g.dim, bracket_table(g, endo, endo), endo)
+    alg = HomAlgebra(g.dim, bracket_rows(g, endo, endo), endo)
     return QuadraticHomAlgebra(alg, BilinearForm(g.dim, endo.transpose() @ q.gram))
 
 
@@ -366,7 +364,7 @@ def quadratic_derived(q: QuadraticHomAlgebra, n: int) -> QuadraticHomAlgebra:
     if n < 0:
         raise ValueError("derived index must be >= 0")
     p = g.alpha.power(n)
-    alg = HomAlgebra(g.dim, _mapped(p, g.bracket), p @ g.alpha)
+    alg = HomAlgebra(g.dim, _mapped(p, g.table), p @ g.alpha)
     return QuadraticHomAlgebra(alg, BilinearForm(g.dim, p.transpose() @ q.gram))
 
 
@@ -379,7 +377,7 @@ def tstar_extension(g: HomAlgebra) -> QuadraticHomAlgebra:
     _require_lie(g, "tstar_extension")
     n = g.dim
     dim = 2 * n
-    bracket = _table(dim)
+    bracket = defaultdict(dict)
     _put_bracket(bracket, 0, g)
     _put_action(bracket, 0, n, _coadjoint(g))
     gram = _extension_gram(Matrix.zeros(n, n), Matrix.zeros(0, 0))
@@ -434,7 +432,7 @@ def tensor_current(
     """
     _require_lie(g, "tensor_current")
     if not a.is_commutative() or not check_hom_associative(
-        AssocAlgebra(a.dim, a.product, Matrix.identity(a.dim))
+        AssocAlgebra(a.dim, a.table, Matrix.identity(a.dim))
     ):
         raise NotCommutativeAssociative("A must be commutative associative")
     if theta.shape != (a.dim, a.dim):
@@ -456,9 +454,10 @@ def tensor_current(
     dim = g.dim * m
     # [x_i (x) a_r, x_j (x) a_s] = [x_i, x_j] (x) a_r a_s, on basis index i * m + r
     bracket = {
-        (i * m + r, j * m + s): [c * p for c in cg for p in ab]
-        for (i, j), cg in g.bracket.items()
-        for (r, s), ab in a.product.items()
+        (i * m + r, j * m + s): {k * m + t: c * p for k, c in cg.items() for t, p in ab.items()}
+        for (i, j), cg in g.table.items()
+        if i < j
+        for (r, s), ab in a.table.items()
     }
     lie = HomAlgebra(dim, bracket, Matrix.identity(dim))
     theta_tilde = Matrix.block_diagonal([theta] * g.dim)
@@ -555,7 +554,7 @@ def double_extension_1d(
     n = g.dim
     dim = n + 2
     E, B0 = n + 1, 0  # e index, b index
-    bracket = _table(dim)
+    bracket = defaultdict(dict)
     _put_bracket(bracket, 1, g)
     _put_pairing(bracket, 1, E, [d.delta], v.gram)
     _put_action(bracket, B0, 1, [d.delta])
@@ -641,7 +640,7 @@ def _involutive_extension_parts(v, a, d, include_action: bool):
     n, m = gv.dim, a.dim
     dim = m + n + m  # A, V, A* blocks
     A0, V0, F0 = 0, m, m + n
-    bracket = _table(dim)
+    bracket = defaultdict(dict)
     _put_bracket(bracket, A0, a)
     _put_action(bracket, A0, F0, _coadjoint(a))
     if include_action:

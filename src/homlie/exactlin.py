@@ -73,7 +73,10 @@ class Matrix:
         dense = [vec(row) for row in data]
         if dense and any(len(r) != len(dense[0]) for r in dense):
             raise DimensionMismatch("ragged rows")
-        self._set(sparse_rows(dense), len(dense[0]) if dense else (cols or 0))
+        width = len(dense[0]) if dense else (cols or 0)
+        if cols is not None and cols != width:
+            raise DimensionMismatch(f"rows of length {width} for a matrix of width {cols}")
+        self._set(sparse_rows(dense), width)
 
     def _set(self, rows: Sequence[dict[int, Fraction]], cols: int):
         object.__setattr__(self, "rows", len(rows))

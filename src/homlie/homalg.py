@@ -37,33 +37,39 @@ _EMPTY: SparseRow = {}  # shared, never written
 
 
 def _table(
-    dim: int, entries: Iterable[tuple[tuple[int, int], Sequence]], what: str, skew: bool
+    dim: int, entries: Iterable[tuple[tuple[int, int], Sequence | Mapping]], what: str, skew: bool
 ) -> tuple[MappingProxyType, dict[tuple[int, int], SparseRow]]:
     """The nonzero entries of a structure table, as a read-only mapping and as sparse rows.
 
-    ``entries`` are ((i, j), coefficient vector) pairs, with i < j when
-    ``skew``.  The mapping keeps the entries given; the sparse rows cover every
-    ordered pair with a nonzero entry, so when ``skew`` they also hold the
-    negated row at (j, i).  Both results have their keys in lexicographic order.
+    ``entries`` are ((i, j), coefficients) pairs, with i < j when ``skew``; the
+    coefficients are a vector of length dim or a sparse row ``{k: c}``.  The
+    sparse rows, keys ascending, cover every ordered pair with a nonzero
+    entry, so when ``skew`` they also hold the negated row at (j, i); the
+    mapping holds the coefficient vector of each entry given, built from its
+    row.  Both results have their keys in lexicographic order.
     """
-    pairs, rows = {}, {}
+    rows = {}
     for (i, j), v in entries:
         if not (0 <= i < dim and 0 <= j < dim) or (skew and i >= j):
             raise IndexOutOfRange(
                 f"{what} entry ({i},{j}) needs 0 <= {'i < j' if skew else 'i, j'} < dim"
             )
-        w = vec(v)
-        if len(w) != dim:
-            raise DimensionMismatch(f"{what} entry ({i},{j}) needs dim coefficients")
-        row = {k: c for k, c in enumerate(w) if c}
+        if isinstance(v, Mapping):
+            if any(k not in range(dim) for k in v):
+                raise DimensionMismatch(f"{what} entry ({i},{j}) needs coefficient keys in 0..dim-1")
+            row = {k: c for k in sorted(v) if (c := frac(v[k]))}
+        else:
+            w = vec(v)
+            if len(w) != dim:
+                raise DimensionMismatch(f"{what} entry ({i},{j}) needs dim coefficients")
+            row = {k: c for k, c in enumerate(w) if c}
         if row:
-            pairs[(i, j)], rows[(i, j)] = w, row
+            rows[(i, j)] = row
             if skew:
                 rows[(j, i)] = {k: -c for k, c in row.items()}
-    return (
-        MappingProxyType({ij: pairs[ij] for ij in sorted(pairs)}),
-        {ij: rows[ij] for ij in sorted(rows)},
-    )
+    rows = {ij: rows[ij] for ij in sorted(rows)}
+    pairs = {ij: dense_row(row, dim) for ij, row in rows.items() if not skew or ij[0] < ij[1]}
+    return MappingProxyType(pairs), rows
 
 
 def _sparse(x: Sequence, dim: int) -> SparseRow:
@@ -151,12 +157,14 @@ class Record:
 class HomAlgebra(Record):
     """Finite-dimensional Hom-algebra with a skew-symmetric bracket.
 
-    ``bracket`` maps each basis pair (i, j) with i < j and [x_i, x_j] != 0 to
-    the coefficient vector of [x_i, x_j], keys in lexicographic order; every
-    other bracket of basis vectors follows by skew-symmetry, so the bracket
-    is skew by construction.  The brackets of every ordered pair i != j are
-    also kept as sparse rows, the table form of ``AssocAlgebra``, from which
-    every bracket is evaluated.
+    The constructor takes the brackets of basis pairs (i, j) with i < j, each
+    as a coefficient vector or a sparse row ``{k: c}``; every other bracket of
+    basis vectors follows by skew-symmetry, so the bracket is skew by
+    construction.  The stored form is ``table``: the brackets of every
+    ordered pair i != j with [x_i, x_j] != 0 as sparse rows, the table form
+    of ``AssocAlgebra``, from which every bracket is evaluated.  ``bracket``
+    is its view for i < j, (i, j) -> the coefficient vector of [x_i, x_j],
+    keys in lexicographic order.
     """
 
     dim: int
@@ -172,6 +180,8 @@ class HomAlgebra(Record):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "bracket", pairs)
         object.__setattr__(self, "_rows", rows)
+
+    table = property(lambda self: MappingProxyType(self._rows), doc="The stored sparse rows, read-only.")
 
     def __hash__(self):
         return hash((self.dim, tuple(self.bracket.items()), self.alpha))
@@ -215,7 +225,12 @@ class HomAlgebra(Record):
         return not self.bracket
 
     def with_alpha(self, alpha: Matrix) -> "HomAlgebra":
-        return HomAlgebra(self.dim, self.bracket, alpha)
+        """The same bracket with twist alpha; both algebras share the bracket's stored table."""
+        if alpha.shape != (self.dim, self.dim):
+            raise DimensionMismatch("alpha must be dim x dim")
+        g = object.__new__(HomAlgebra)
+        g.__dict__.update(self.__dict__, alpha=alpha)
+        return g
 
 
 def annihilator(t: HomAlgebra | AssocAlgebra) -> Subspace:
@@ -232,27 +247,29 @@ def center(g: HomAlgebra) -> Subspace:
     return annihilator(g)
 
 
-def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:
-    """Brackets [left(x_i), right(x_j)] over the basis pairs i < j; both maps are dim x dim."""
+def bracket_rows(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], SparseRow]:
+    """Brackets [left(x_i), right(x_j)] over every basis pair i < j, as sparse rows; both maps are dim x dim."""
     n = g.dim
     if left.shape != (n, n) or right.shape != (n, n):
         raise DimensionMismatch("bracket_table maps must be dim x dim")
     lcols, rcols = left.col_dicts(), right.col_dicts()
-    return {
-        (i, j): dense_row(_product(g._rows, lcols[i], rcols[j]), n)
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    return {(i, j): _product(g._rows, lcols[i], rcols[j]) for i in range(n) for j in range(i + 1, n)}
+
+
+def bracket_table(g: HomAlgebra, left: Matrix, right: Matrix) -> dict[tuple[int, int], Vector]:
+    """The coefficient vectors of ``bracket_rows``."""
+    return {ij: dense_row(row, g.dim) for ij, row in bracket_rows(g, left, right).items()}
 
 
 class AssocAlgebra(Record):
     """Hom-associative algebra: a bilinear product without skew symmetry.
 
-    ``product`` maps each basis pair (i, j) with x_i x_j != 0 to the
-    coefficient vector of x_i x_j, keys in lexicographic order.  The
-    constructor takes that mapping or the nested lists ``product[i][j]``.  The
-    same products are also kept as sparse rows, from which every product is
-    evaluated.
+    The constructor takes a mapping (i, j) -> x_i x_j, each product a
+    coefficient vector or a sparse row ``{k: c}``, or the nested lists
+    ``product[i][j]``.  The stored form is ``table``, the nonzero products as
+    sparse rows, from which every product is evaluated; ``product`` is its
+    view (i, j) -> the coefficient vector of x_i x_j, keys in lexicographic
+    order.
     """
 
     dim: int
@@ -272,6 +289,8 @@ class AssocAlgebra(Record):
             raise DimensionMismatch("alpha must be dim x dim")
         object.__setattr__(self, "product", pairs)
         object.__setattr__(self, "_rows", rows)
+
+    table = property(lambda self: MappingProxyType(self._rows), doc="The stored sparse rows, read-only.")
 
     def __hash__(self):
         return hash((self.dim, tuple(self.product.items()), self.alpha))
@@ -698,10 +717,7 @@ def commutator_hom_lie(a: AssocAlgebra) -> HomAlgebra:
     rows = a._rows
     pairs = {(min(i, j), max(i, j)) for i, j in rows if i != j}
     bracket = {
-        (i, j): dense_row(
-            combine_rows(((_ONE, rows.get((i, j), _EMPTY)), (-_ONE, rows.get((j, i), _EMPTY)))),
-            a.dim,
-        )
+        (i, j): combine_rows(((_ONE, rows.get((i, j), _EMPTY)), (-_ONE, rows.get((j, i), _EMPTY))))
         for i, j in pairs
     }
     return HomAlgebra(a.dim, bracket, a.alpha)

@@ -1,9 +1,11 @@
 """JSON file format with string-encoded rationals.
 
 Brackets are stored sparsely as entries {i, j, coeffs} for i < j only (the
-rest follows by skew-symmetry); every scalar is a string "p" or "p/q" with
-q > 0, never a float, so files round-trip bit exactly.  Indices in files are
-zero-based.
+rest follows by skew-symmetry); every scalar is a string "p" or "p/q" in
+ASCII digits with q > 0, never a float, so files round-trip bit exactly.
+Indices in files are zero-based.  The reader hands each entry to the
+constructors as a sparse row, and the writer formats only the nonzero
+entries of the stored rows.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from .homalg import (
     Record,
 )
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def format_rational(x: Fraction) -> str:
     """The one formatter of report and file values, "p" or "p/q"."""
+    if not x:
+        return "0"
     try:
-        return str(Fraction(x))
+        return str(x)
     except ValueError:  # more digits than Python converts to a string
         raise HomLieError(
             f"a result value has more than {sys.get_int_max_str_digits()} digits, too long to print"
@@ -38,10 +42,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    """The value of a literal "p" or "p/q" (q > 0), in ASCII digits."""
+    m = _RATIONAL_RE.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
         raise ParseError(f"bad rational literal {s!r} (expected 'p' or 'p/q', q > 0)")
+    p, q = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ValueError:  # more digits than Python converts to an int
         raise ParseError(f"rational literal of {len(s)} characters is too long") from None
 
@@ -50,19 +57,30 @@ def _format_vector(v) -> list[str]:
     return [format_rational(x) for x in v]
 
 
+def _format_row(row: dict, n: int) -> list[str]:
+    """The n literals of a sparse row: "0" wherever the row has no entry."""
+    out = ["0"] * n
+    for k, x in row.items():
+        out[k] = format_rational(x)
+    return out
+
+
 def _format_matrix(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.data]
+    return [_format_row(row, m.cols) for row in m.row_dicts]
+
+
+def _parse_row(raw, n: int, error: str) -> dict[int, Fraction]:
+    """The nonzero values of a list of n literals as a sparse row; a "0" makes no Fraction."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError(error)
+    return {k: x for k, s in enumerate(raw) if s != "0" and (x := parse_rational(s))}
 
 
 def _parse_matrix(raw, rows: int, cols: int, what: str) -> Matrix:
     if not isinstance(raw, list) or len(raw) != rows:
         raise ParseError(f"{what} must have exactly {rows} rows")
-    out = []
-    for row in raw:
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"{what} rows must have exactly {cols} entries")
-        out.append([parse_rational(x) for x in row])
-    return Matrix(out)
+    error = f"{what} rows must have exactly {cols} entries"
+    return Matrix.from_row_dicts([_parse_row(row, cols, error) for row in raw], cols)
 
 
 def _parse_vector(raw, n: int, what: str) -> tuple[Fraction, ...]:
@@ -95,9 +113,8 @@ def algebra_to_dict(
     form: BilinearForm | None = None,
     basis_names: list[str] | None = None,
 ) -> dict:
-    entries = [
-        {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in g.bracket.items()
-    ]
+    table = g.table
+    entries = [{"i": i, "j": j, "coeffs": _format_row(table[(i, j)], g.dim)} for i, j in g.bracket]
     out = {"dim": g.dim, "bracket": entries, "alpha": _format_matrix(g.alpha)}
     if form is not None:
         out["form"] = _format_matrix(form.gram)
@@ -107,9 +124,7 @@ def algebra_to_dict(
 
 
 def assoc_to_dict(a: AssocAlgebra, basis_names: list[str] | None = None) -> dict:
-    entries = [
-        {"i": i, "j": j, "coeffs": _format_vector(v)} for (i, j), v in a.product.items()
-    ]
+    entries = [{"i": i, "j": j, "coeffs": _format_row(row, a.dim)} for (i, j), row in a.table.items()]
     out = {"dim": a.dim, "product": entries, "alpha": _format_matrix(a.alpha)}
     if basis_names is not None:
         out["basis_names"] = list(basis_names)
@@ -170,7 +185,7 @@ def _entry_parts(entry, dim, ordered):
         raise ParseError(f"entry index out of range: ({i},{j})")
     if ordered and not i < j:
         raise ParseError(f"bracket entries need i < j, got ({i},{j})")
-    coeffs = _parse_vector(entry.get("coeffs"), dim, "coeffs")
+    coeffs = _parse_row(entry.get("coeffs"), dim, f"coeffs must have exactly {dim} entries")
     return i, j, coeffs
 
 

@@ -156,6 +156,24 @@ def test_cli_overlong_rational_is_malformed_input(tmp_path):
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["٣", "1\n"], ids=["arabic-indic-digit", "trailing-newline"])
+def test_cli_non_ascii_or_padded_literal_is_malformed_input(tmp_path, literal):
+    # the file format allows only "p" or "p/q" in ASCII digits
+    payload = ser.algebra_to_dict(catalog.abelian(1))
+    payload["alpha"] = [[literal]]
+    (tmp_path / "odd.json").write_text(json.dumps(payload))
+    r = run_cli(["check", "odd.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+
+
+def test_cli_catalog_emit_rejects_a_non_ascii_parameter(tmp_path):
+    r = run_cli(["catalog", "emit", "jackson_sl2", "٣", "--out", "j.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "j.json").exists()
+
+
 _HOSTILE_JSON = {
     "deep": b"[" * 200000 + b"\n",
     "not-utf8": b"\xff\xfe{}",

@@ -130,6 +130,14 @@ def test_from_row_dicts_coerces_drops_zeros_and_checks_keys():
             Matrix.from_row_dicts([bad], 3)
 
 
+def test_cols_must_agree_with_the_rows():
+    with pytest.raises(DimensionMismatch):
+        Matrix([[1, 2]], cols=5)
+    assert Matrix([[1, 2]], cols=2).shape == (1, 2)
+    assert Matrix([], cols=5).shape == (0, 5)
+    assert Matrix([]).shape == (0, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes.filter(bool).flatmap(lambda n: st.tuples(matrices(st.just(n), st.just(n)), st.lists(entries, min_size=n, max_size=n))))
 def test_kernels_leave_the_matrix_rows_unchanged(case):
